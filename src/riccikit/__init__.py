@@ -14,6 +14,7 @@ from .curvature import (
     VertexCurvature,
     build_lipschitz_program,
     combinatorial_curvature,
+    combinatorial_curvatures,
     curvature_report,
     kappa_alpha,
     kappa_lly,
@@ -45,6 +46,7 @@ from .graphs import (
     trace_faces,
     validate_embedding,
 )
+from .lp import SimplexError, simplex_min
 from .structure import (
     CapRecord,
     DegreeAudit,

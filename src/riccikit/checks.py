@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from .curvature import (
     CurvatureReport,
-    combinatorial_curvature,
+    combinatorial_curvatures,
     curvature_report,
     kappa_alpha,
     kappa_lly,
@@ -222,9 +222,7 @@ def _check_gauss_bonnet(g: Graph, rot: Optional[RotationSystem], **_) -> CheckRe
             "gauss-bonnet", "skip",
             f"embedding has Euler characteristic {check.euler_characteristic}, not a sphere",
         )
-    total = sum(
-        (combinatorial_curvature(g, faces, v) for v in g.vertices), start=Fraction(0)
-    )
+    total = sum(combinatorial_curvatures(g, faces).values(), start=Fraction(0))
     if total == 2:
         return CheckResult("gauss-bonnet", "pass", "sum of phi equals 2 exactly")
     return CheckResult("gauss-bonnet", "fail", f"sum of phi is {total}, expected 2")

@@ -1,8 +1,10 @@
 """Command line frontend: generate, curvature, transport, verify.
 
 Exit codes: 0 success (all selected checks pass for verify), 1 verification
-failure, 2 malformed input. Alpha values cross this boundary as exact
-rationals only: "p/q" or a finite decimal, never a binary float.
+failure, 2 malformed input, 3 internal error (a solver's exactness self-check
+failed; one "internal error: ..." line on stderr). Alpha values cross this
+boundary as exact rationals only: "p/q" or a finite decimal, never a binary
+float.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .curvature import (
 )
 from .families import FAMILIES, FamilySpec
 from .graphs import GraphError, parse_graph, sniff_format, to_edgelist_text, to_rotation_text
-from .transport import TransportError, optimal_transport, lazy_measure
+from .transport import InternalConsistencyError, TransportError, optimal_transport, lazy_measure
 
 
 class _InputError(Exception):
@@ -172,6 +174,9 @@ def main(argv=None) -> int:
     except (_InputError, GraphError, TransportError, EmbeddingError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InternalConsistencyError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

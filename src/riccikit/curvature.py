@@ -1,15 +1,22 @@
-"""Curvature engines: lazy-walk curvature, the limit-free LP engine, and phi.
+"""Curvature engines: lazy-walk curvature, the limit-free flow engine, and phi.
 
 kappa_lly solves the Lipschitz program
 
     minimize (Lf(x) - Lf(y)) / d(x, y)
-    subject to f(y) - f(x) = d(x, y) and |f(u) - f(v)| <= d(u, v)
+    subject to f(y) - f(x) = d(x, y) and f(v) - f(u) <= d(u, v)
 
 over U = {x, y} union Gamma(x) union Gamma(y), where Lf(w) is the degree-
 averaged Laplacian. Any 1-Lipschitz f on U extends to the whole graph
-without changing the objective, so restricting to U is exact; the
-independent lazy-walk slope engine and the enumeration oracle in the test
-suite cross-check this.
+without changing the objective, so restricting to U is exact.
+
+The program is a system of difference constraints, so its dual is an
+integer transshipment problem on U: supplies are the objective scaled to
+integers, every ordered pair (u, v) is an uncapacitated arc of cost d(u, v),
+and one arc y -> x of cost -d(x, y) encodes the gradient constraint. The
+optimum is -(min cost) / (scale * d(x, y)), and the flow's node potentials
+are an optimal integer f. The independent lazy-walk slope engine, the
+enumeration oracle and the reference simplex in the test suite cross-check
+this.
 """
 
 from __future__ import annotations
@@ -29,16 +36,11 @@ from .graphs import (
     trace_faces,
     validate_embedding,
 )
-from .lp import simplex_min
-from .transport import lazy_measure, wasserstein
+from .transport import InternalConsistencyError, _MinCostFlow, _frac, lazy_measure, wasserstein
 
 
 class EmbeddingError(ValueError):
     """Combinatorial curvature requested without a validated sphere embedding."""
-
-
-def _frac(value) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
 
 
 @dataclass(frozen=True)
@@ -52,64 +54,57 @@ class LipschitzProgram:
     dist: Mapping[tuple[int, int], int]
     objective: Mapping[int, Fraction]
 
-    def solve(self) -> tuple[Fraction, dict[int, Fraction]]:
-        """Optimal value and one optimal f (with f(x) = 0)."""
-        x, y, d_xy, dist = self.x, self.y, self.d_xy, self.dist
-        fixed = {x: Fraction(0), y: Fraction(d_xy)}
-        free = [u for u in self.domain if u not in fixed]
+    def solve(self) -> tuple[Fraction, dict[int, int]]:
+        """Optimal value and one optimal integer f (with f(x) = 0).
 
-        lo = {}
-        hi = {}
-        for u in free:
-            lo[u] = Fraction(max(-dist[u, x], d_xy - dist[u, y]))
-            hi[u] = Fraction(min(dist[u, x], d_xy + dist[u, y]))
+        Solves the dual min-cost flow described in the module docstring and
+        checks the certificate (f integer, 1-Lipschitz on the domain, the
+        gradient constraint, and f attaining the flow's value) before
+        returning; a failed check raises InternalConsistencyError.
+        """
+        x, y, d_xy, dist, domain = self.x, self.y, self.d_xy, self.dist, self.domain
+        scale = lcm(*(c.denominator for c in self.objective.values()))
+        supply = {u: int(c * scale) for u, c in self.objective.items()}
+        amount = sum(c for c in supply.values() if c > 0)
+        node = {u: i for i, u in enumerate(domain)}
+        s_node, t_node = len(domain), len(domain) + 1
+        net = _MinCostFlow(len(domain) + 2)
+        for u, c in supply.items():
+            if c > 0:
+                net.add_edge(s_node, node[u], c, 0)
+            elif c < 0:
+                net.add_edge(node[u], t_node, -c, 0)
+        # Capacities above the total supply never saturate, so every
+        # constraint arc stays residual and the final potentials satisfy it.
+        for u in domain:
+            for v in domain:
+                if u != v:
+                    net.add_edge(node[u], node[v], amount + 1, dist[u, v])
+        net.add_edge(node[y], node[x], amount + 1, -d_xy)
+        value = Fraction(-net.solve(s_node, t_node, amount), scale * d_xy)
 
-        # A pair constraint is implied whenever some third domain vertex lies
-        # on a geodesic between the two endpoints; only irreducible pairs
-        # become rows (pairs involving x or y are the box bounds above).
-        pairs = []
-        for i, u in enumerate(free):
-            for v in free[i + 1:]:
-                duv = dist[u, v]
-                if any(
-                    w not in (u, v) and dist[u, w] + dist[w, v] == duv
-                    for w in self.domain
-                ):
-                    continue
-                pairs.append((u, v))
-
-        col = {u: i for i, u in enumerate(free)}
-        costs = [self.objective.get(u, Fraction(0)) / d_xy for u in free]
-        # objective constant: fixed endpoints plus the lo-shift of every free var
-        constant = sum(
-            (self.objective.get(u, Fraction(0)) * fu for u, fu in fixed.items()),
-            start=Fraction(0),
-        )
-        constant += sum(
-            (self.objective.get(u, Fraction(0)) * lo[u] for u in free), start=Fraction(0)
-        )
-        constant /= d_xy
-
-        rows = []
-        bounds = []
-        for u in free:
-            rows.append({col[u]: 1})
-            bounds.append(hi[u] - lo[u])
-        for u, v in pairs:
-            duv = dist[u, v]
-            rows.append({col[u]: 1, col[v]: -1})
-            bounds.append(duv - lo[u] + lo[v])
-            rows.append({col[u]: -1, col[v]: 1})
-            bounds.append(duv - lo[v] + lo[u])
-
-        if free:
-            value, assignment = simplex_min(costs, rows, bounds)
-        else:
-            value, assignment = Fraction(0), []
-        f = dict(fixed)
-        for u in free:
-            f[u] = lo[u] + assignment[col[u]]
-        return constant + value, f
+        p = net.feasible_potentials()
+        f = {u: p[node[u]] - p[node[x]] for u in domain}
+        if not all(isinstance(fu, int) for fu in f.values()):
+            raise InternalConsistencyError("curvature potential is not integer-valued")
+        if f[y] - f[x] != d_xy:
+            raise InternalConsistencyError(
+                f"curvature potential has f(y) - f(x) = {f[y] - f[x]}, expected {d_xy}"
+            )
+        for u in domain:
+            for v in domain:
+                if f[v] - f[u] > dist[u, v]:
+                    raise InternalConsistencyError(
+                        f"curvature potential violates 1-Lipschitz on ({u}, {v})"
+                    )
+        attained = sum(
+            (c * f[u] for u, c in self.objective.items()), start=Fraction(0)
+        ) / d_xy
+        if attained != value:
+            raise InternalConsistencyError(
+                f"curvature potential attains {attained}, flow value is {value}"
+            )
+        return value, f
 
 
 def build_lipschitz_program(g: Graph, x: int, y: int) -> LipschitzProgram:
@@ -132,7 +127,7 @@ def build_lipschitz_program(g: Graph, x: int, y: int) -> LipschitzProgram:
 
 
 def kappa_lly(g: Graph, x: int, y: int) -> Fraction:
-    """Exact limit-free curvature of an arbitrary vertex pair via the LP."""
+    """Exact limit-free curvature of an arbitrary vertex pair via the Lipschitz program."""
     value, _ = build_lipschitz_program(g, x, y).solve()
     return value
 
@@ -172,25 +167,32 @@ def kappa_zero(g: Graph, x: int, y: int) -> Fraction:
     return 1 - w
 
 
-def combinatorial_curvature(g: Graph, faces: Sequence[Face], v: int) -> Fraction:
-    """phi(v) = 1 - deg(v)/2 + sum of 1/|face| per incidence of v.
+def combinatorial_curvatures(g: Graph, faces: Sequence[Face]) -> dict[int, Fraction]:
+    """phi(v) = 1 - deg(v)/2 + sum of 1/|face| per incidence of v, for every v.
 
     Requires a sphere embedding; a face touching v several times contributes
     once per incidence, which keeps the total over all vertices equal to 2.
+    One pass over the face walks.
     """
     check = validate_embedding(g, faces)
     if not check.is_sphere:
         raise EmbeddingError(
             f"embedding has Euler characteristic {check.euler_characteristic}, not a sphere"
         )
-    if v not in g:
-        raise EmbeddingError(f"unknown vertex {v}")
-    total = Fraction(1) - Fraction(g.degree(v), 2)
+    phi = {v: Fraction(1) - Fraction(g.degree(v), 2) for v in g.vertices}
     for face in faces:
-        count = face.incidences(v)
-        if count:
-            total += Fraction(count, face.size)
-    return total
+        share = Fraction(1, face.size)
+        for u in face.vertex_cycle():
+            phi[u] += share
+    return phi
+
+
+def combinatorial_curvature(g: Graph, faces: Sequence[Face], v: int) -> Fraction:
+    """phi(v) of one vertex; see combinatorial_curvatures."""
+    phi = combinatorial_curvatures(g, faces)
+    if v not in phi:
+        raise EmbeddingError(f"unknown vertex {v}")
+    return phi[v]
 
 
 def moore_bound(max_degree: int, diam: int) -> int:
@@ -306,9 +308,8 @@ def curvature_report(
     if mode == "comb" and rot is None:
         raise EmbeddingError("mode 'comb' needs a rotation system")
     if sphere:
-        vertices = tuple(
-            VertexCurvature(v, combinatorial_curvature(g, faces, v)) for v in g.vertices
-        )
+        phi = combinatorial_curvatures(g, faces)
+        vertices = tuple(VertexCurvature(v, phi[v]) for v in g.vertices)
     elif mode == "comb":
         raise EmbeddingError(
             f"embedding has Euler characteristic {chi}, not a sphere"

@@ -1,22 +1,18 @@
-"""Exact-arithmetic primal simplex for the small LPs used by the curvature engine."""
+"""Exact-rational primal simplex, kept as the reference LP solver.
+
+No production path calls it: the curvature program is solved as a min-cost
+flow, and the test suite checks that engine against this simplex on the
+complete, unpruned constraint set.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-try:
-    from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover
-    _Q = Fraction
-
 
 class SimplexError(RuntimeError):
     """Solver-level failure (unbounded or infeasible input)."""
-
-
-def _as_fraction(q) -> Fraction:
-    return Fraction(int(q.numerator), int(q.denominator))
 
 
 def simplex_min(
@@ -35,18 +31,18 @@ def simplex_min(
     """
     n = len(costs)
     m = len(rows)
-    zero = _Q(0)
-    tableau: list[dict[int, object]] = []
+    zero = Fraction(0)
+    tableau: list[dict[int, Fraction]] = []
     rhs = []
     for i, row in enumerate(rows):
-        b = _Q(bounds[i])
+        b = Fraction(bounds[i])
         if b < 0:
             raise SimplexError(f"negative bound {bounds[i]} in row {i}")
-        entries = {j: _Q(c) for j, c in row.items() if c != 0}
-        entries[n + i] = _Q(1)  # slack
+        entries = {j: Fraction(c) for j, c in row.items() if c != 0}
+        entries[n + i] = Fraction(1)  # slack
         tableau.append(entries)
         rhs.append(b)
-    reduced = {j: _Q(c) for j, c in enumerate(costs) if c != 0}
+    reduced = {j: Fraction(c) for j, c in enumerate(costs) if c != 0}
     neg_obj = zero  # cost-row rhs cell; equals -(current objective value)
     basis = [n + i for i in range(m)]
 
@@ -107,5 +103,5 @@ def simplex_min(
     x = [Fraction(0)] * n
     for i, j in enumerate(basis):
         if j < n:
-            x[j] = _as_fraction(rhs[i])
-    return _as_fraction(-neg_obj), x
+            x[j] = rhs[i]
+    return -neg_obj, x

@@ -3,6 +3,7 @@ import json
 from riccikit.cli import main
 from riccikit import families
 from riccikit.graphs import to_edgelist_text, to_rotation_text
+from riccikit.transport import _MinCostFlow
 
 from oracles import star_with_pendants
 
@@ -148,6 +149,22 @@ def test_parse_error_exit2(tmp_path, capsys):
 def test_missing_file_exit2(capsys):
     code, _, err = run_cli(capsys, "curvature", "--input", "no/such/file", "--jobs", "1")
     assert code == 2
+
+
+def test_internal_fault_exit3_without_traceback(tmp_path, capsys, monkeypatch):
+    # Zero potentials break the curvature certificate, which must surface as
+    # an internal error, not as a failed verification (1) or bad input (2).
+    monkeypatch.setattr(_MinCostFlow, "feasible_potentials", lambda self: [0] * self.n)
+    g, _ = families.cycle(6)
+    path = tmp_path / "c6.edges"
+    path.write_text(to_edgelist_text(g))
+    for argv in (["curvature", "--input", str(path), "--jobs", "1"],
+                 ["verify", "--input", str(path), "--checks", "positivity"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("internal error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 def test_verify_triangle_exit0(tmp_path, capsys):

@@ -9,6 +9,7 @@ from riccikit.curvature import (
     EmbeddingError,
     build_lipschitz_program,
     combinatorial_curvature,
+    combinatorial_curvatures,
     curvature_report,
     kappa_alpha,
     kappa_lly,
@@ -19,6 +20,7 @@ from riccikit.curvature import (
     report_to_json_dict,
 )
 from riccikit.graphs import RotationSystem, bfs_distances, trace_faces
+from riccikit.transport import InternalConsistencyError, _MinCostFlow
 
 from oracles import oracle_kappa, random_connected_graph, relabeled
 
@@ -84,6 +86,38 @@ def test_lipschitz_program_shape(c6):
             assert abs(f[u] - f[v]) <= prog.dist[u, v]
 
 
+@pytest.mark.parametrize(
+    "family, x, y",
+    [
+        (families.cycle(6), 0, 1),
+        (families.cycle(6), 0, 2),
+        (families.cycle(6), 0, 3),
+        (families.wheel(7), 7, 0),
+        (families.wheel(7), 0, 1),
+        (families.wheel(7), 0, 3),
+    ],
+)
+def test_lipschitz_program_certificate(family, x, y):
+    g, _ = family
+    prog = build_lipschitz_program(g, x, y)
+    value, f = prog.solve()
+    assert value == oracle_kappa(g, x, y)
+    assert f[x] == 0
+    assert all(type(fu) is int for fu in f.values())
+    assert f[y] - f[x] == prog.d_xy == bfs_distances(g, x)[y]
+    for u in prog.domain:
+        for v in prog.domain:
+            assert f[v] - f[u] <= prog.dist[u, v]
+    attained = sum((c * f[u] for u, c in prog.objective.items()), start=Fraction(0))
+    assert attained / prog.d_xy == value
+
+
+def test_lipschitz_program_rejects_a_broken_certificate(c6, monkeypatch):
+    monkeypatch.setattr(_MinCostFlow, "feasible_potentials", lambda self: [0] * self.n)
+    with pytest.raises(InternalConsistencyError, match=r"f\(y\) - f\(x\)"):
+        build_lipschitz_program(c6, 0, 1).solve()
+
+
 def test_kappa_lly_nonadjacent_pair(c6):
     # antipodal pair on the hexagon; enumeration oracle confirms the LP
     assert kappa_lly(c6, 0, 3) == oracle_kappa(c6, 0, 3)
@@ -112,6 +146,11 @@ def test_combinatorial_curvature_rejects_non_sphere():
     faces = trace_faces(g, natural)
     with pytest.raises(EmbeddingError, match="Euler characteristic"):
         combinatorial_curvature(g, faces, 0)
+    with pytest.raises(EmbeddingError, match="Euler characteristic"):
+        combinatorial_curvatures(g, faces)
+    q3, rot = families.hypercube(3)
+    with pytest.raises(EmbeddingError, match="unknown vertex"):
+        combinatorial_curvature(q3, trace_faces(q3, rot), 99)
 
 
 def test_gauss_bonnet_on_families():
@@ -130,6 +169,7 @@ def test_gauss_bonnet_on_families():
             (combinatorial_curvature(g, faces, v) for v in g.vertices), start=Fraction(0)
         )
         assert total == 2
+        assert sum(combinatorial_curvatures(g, faces).values()) == 2
 
 
 def test_moore_bound_small_values():

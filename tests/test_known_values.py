@@ -3,9 +3,9 @@
 Tree edges have the closed form -2 (1 - 1/deg(x) - 1/deg(y)); complete
 bipartite edges give 2/max(m, n). Neither value is computed by any code
 path in the package, so agreement here is an external consistency check on
-the LP engine. The last test rebuilds the curvature LP with the complete
-pairwise constraint set and confirms the production pruning changes
-nothing.
+the curvature engine. The last test solves the curvature LP with the
+complete pairwise constraint set on the reference simplex and confirms the
+min-cost flow engine reaches the same optimum.
 """
 
 import random
@@ -97,7 +97,7 @@ def _solve_unpruned(program):
     return constant / d_xy + value
 
 
-def test_constraint_pruning_is_lossless():
+def test_flow_engine_matches_unpruned_simplex():
     rng = random.Random(515)
     graphs = [random_connected_graph(rng, n_max=10, max_degree=6) for _ in range(8)]
     checked = 0
@@ -109,7 +109,7 @@ def test_constraint_pruning_is_lossless():
         pairs += rng.sample(non_edges, min(3, len(non_edges)))
         for x, y in pairs:
             program = build_lipschitz_program(g, x, y)
-            pruned, _ = program.solve()
-            assert pruned == _solve_unpruned(program)
+            flow, _ = program.solve()
+            assert flow == _solve_unpruned(program)
             checked += 1
     assert checked > 40

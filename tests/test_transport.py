@@ -7,6 +7,7 @@ from riccikit import families
 from riccikit.graphs import Graph, bfs_distances
 from riccikit.transport import (
     DualPotential,
+    InternalConsistencyError,
     Measure,
     TransportError,
     TransportPlan,
@@ -14,6 +15,7 @@ from riccikit.transport import (
     lazy_measure,
     optimal_transport,
     verify_duality,
+    _self_check,
     wasserstein,
 )
 
@@ -125,6 +127,18 @@ def test_verify_duality_flags_gap(k3):
     check = verify_duality(plan, zero_pot, k3)
     assert not check
     assert any("duality gap" in v for v in check.violations)
+
+
+def test_self_check_rejects_a_wrong_distance_or_potential(k3):
+    m1 = lazy_measure(k3, 0, 0)
+    m2 = lazy_measure(k3, 1, 0)
+    result = optimal_transport(k3, m1, m2)
+    _self_check(k3, m1, m2, result.distance, result.plan, result.potential)
+    with pytest.raises(InternalConsistencyError, match="reported distance"):
+        _self_check(k3, m1, m2, result.distance + 1, result.plan, result.potential)
+    zero_pot = DualPotential({v: 0 for v in k3.vertices}, anchor=0)
+    with pytest.raises(InternalConsistencyError, match="duality gap"):
+        _self_check(k3, m1, m2, result.distance, result.plan, zero_pot)
 
 
 def test_verify_duality_flags_bad_marginals(k3):
