@@ -188,6 +188,8 @@ def _check_lemma3(g: Graph, report: CurvatureReport, **_) -> CheckResult:
         return CheckResult(
             "lemma3", "skip", f"graph has {g.vertex_count} > {_PAIR_LIMIT} vertices"
         )
+    if g.vertex_count < 2:
+        return CheckResult("lemma3", "skip", "graph has no vertex pair")
     edge_min = report.min_kappa
     pair_min = min(kappa_lly(g, u, v) for u, v in combinations(g.vertices, 2))
     if pair_min >= edge_min:

@@ -11,12 +11,22 @@ without changing the objective, so restricting to U is exact.
 
 The program is a system of difference constraints, so its dual is an
 integer transshipment problem on U: supplies are the objective scaled to
-integers, every ordered pair (u, v) is an uncapacitated arc of cost d(u, v),
-and one arc y -> x of cost -d(x, y) encodes the gradient constraint. The
-optimum is -(min cost) / (scale * d(x, y)), and the flow's node potentials
-are an optimal integer f. The independent lazy-walk slope engine, the
-enumeration oracle and the reference simplex in the test suite cross-check
-this.
+integers, constraint arcs u -> v of cost d(u, v) are uncapacitated, and one
+arc y -> x of cost -d(x, y) encodes the gradient constraint. The optimum is
+-(min cost) / (scale * d(x, y)), and the flow's node potentials are an
+optimal integer f.
+
+Not every pair needs an arc. The arc u -> v is kept only if d(u, v) = 1 or
+no G-neighbour of u inside U is one step closer to v. The shortest-path
+closure of the kept arcs is still d on U, by induction on d(u, v): a pair at
+distance 1 is an arc; a dropped pair at distance d has a neighbour w in U
+with d(w, v) = d - 1, whose closure is d - 1 by induction, so the closure of
+(u, v) is at most d, and no path of kept arcs is shorter than d. Summing the
+kept constraints along such a path gives f(v) - f(u) <= d(u, v) for every
+pair, so the feasible f on U, and with it the optimum, are unchanged.
+
+The independent lazy-walk slope engine, the enumeration oracle and the
+reference simplex in the test suite cross-check this.
 """
 
 from __future__ import annotations
@@ -76,10 +86,13 @@ class LipschitzProgram:
                 net.add_edge(node[u], t_node, -c, 0)
         # Capacities above the total supply never saturate, so every
         # constraint arc stays residual and the final potentials satisfy it.
+        # Only the spanning arcs of the module docstring are added.
+        near = {u: [w for w in domain if dist[u, w] == 1] for u in domain}
         for u in domain:
             for v in domain:
-                if u != v:
-                    net.add_edge(node[u], node[v], amount + 1, dist[u, v])
+                d = dist[u, v]
+                if u != v and (d == 1 or all(dist[w, v] != d - 1 for w in near[u])):
+                    net.add_edge(node[u], node[v], amount + 1, d)
         net.add_edge(node[y], node[x], amount + 1, -d_xy)
         value = Fraction(-net.solve(s_node, t_node, amount), scale * d_xy)
 

@@ -2,8 +2,10 @@
 
 All masses, costs and distances are exact rationals. The transportation
 problem is scaled to integers by the common denominator of the two measures
-and solved by successive shortest paths; the node potentials of the optimal
-flow yield an integer Kantorovich potential.
+and solved by the primal-dual algorithm: each phase runs one Dijkstra over
+reduced costs and then pushes a maximum flow over the arcs of zero reduced
+cost. The node potentials of the optimal flow yield an integer Kantorovich
+potential.
 """
 
 from __future__ import annotations
@@ -23,6 +25,9 @@ class TransportError(ValueError):
 
 class InternalConsistencyError(RuntimeError):
     """An exactness self-check failed; indicates a solver bug."""
+
+
+_INF = float("inf")
 
 
 def _frac(value) -> Fraction:
@@ -146,7 +151,16 @@ class TransportResult:
 
 
 class _MinCostFlow:
-    """Successive shortest paths with Dijkstra over reduced costs (all integer)."""
+    """Primal-dual min-cost flow over reduced costs (all integer).
+
+    Each phase runs one Dijkstra, raises the node potentials by the capped
+    distances, and then pushes a maximum flow over the admissible arcs (the
+    residual arcs of reduced cost 0) before the next Dijkstra (Ahuja,
+    Magnanti & Orlin, Network Flows, 1993, section 9.8). Every admissible
+    s-t path costs potential[t] - potential[s], so a phase changes the
+    total cost by its flow times that difference. The arc costs used here
+    are small distances, so a solve needs only a few phases.
+    """
 
     def __init__(self, n: int):
         self.n = n
@@ -173,34 +187,19 @@ class _MinCostFlow:
         Negative arc costs are allowed as long as no cycle is negative: the
         starting potentials make every reduced cost nonnegative.
         """
-        n, adj, to, cap, cost = self.n, self.adj, self.to, self.cap, self.cost
+        n, to, cap = self.n, self.to, self.cap
         potential = self.feasible_potentials()
         total = 0
         sent = 0
-        INF = float("inf")
         while sent < amount:
-            dist: list = [INF] * n
-            prev_arc = [-1] * n
-            dist[s] = 0
-            heap = [(0, s)]
-            while heap:
-                d, u = heapq.heappop(heap)
-                if d > dist[u]:
-                    continue
-                for arc in adj[u]:
-                    if cap[arc] <= 0:
-                        continue
-                    v = to[arc]
-                    nd = d + cost[arc] + potential[u] - potential[v]
-                    if nd < dist[v]:
-                        dist[v] = nd
-                        prev_arc[v] = arc
-                        heapq.heappush(heap, (nd, v))
-            if dist[t] is INF:
-                raise InternalConsistencyError("transport network is infeasible")
+            dist, prev_arc = self._shortest_paths(s, t, potential)
             dt = dist[t]
+            if dt == _INF:
+                raise InternalConsistencyError("transport network is infeasible")
             for v in range(n):
                 potential[v] += dist[v] if dist[v] < dt else dt
+            # The Dijkstra path is admissible too; augmenting it directly
+            # saves a level BFS and a DFS when the phase has only this path.
             delta = amount - sent
             v = t
             while v != s:
@@ -213,9 +212,100 @@ class _MinCostFlow:
                 cap[arc] -= delta
                 cap[arc ^ 1] += delta
                 v = to[arc ^ 1]
+            delta += self._admissible_flow(s, t, potential, amount - sent - delta)
             sent += delta
             total += delta * (potential[t] - potential[s])
         return total
+
+    def _shortest_paths(self, s: int, t: int, potential: list[int]) -> tuple[list, list[int]]:
+        """Dijkstra from s over reduced costs: distances and each node's last arc.
+
+        Stops once t is settled. A node settled before t has its exact
+        distance; any other has a label of at least dist[t], which the capped
+        potential update in `solve` treats as dist[t] either way.
+        """
+        adj, to, cap, cost = self.adj, self.to, self.cap, self.cost
+        dist: list = [_INF] * self.n
+        prev_arc = [-1] * self.n
+        dist[s] = 0
+        heap = [(0, s)]
+        while heap:
+            d, u = heapq.heappop(heap)
+            if d > dist[u]:
+                continue
+            if u == t:
+                break
+            for arc in adj[u]:
+                if cap[arc] <= 0:
+                    continue
+                v = to[arc]
+                nd = d + cost[arc] + potential[u] - potential[v]
+                if nd < dist[v]:
+                    dist[v] = nd
+                    prev_arc[v] = arc
+                    heapq.heappush(heap, (nd, v))
+        return dist, prev_arc
+
+    def _admissible_flow(self, s: int, t: int, potential: list[int], limit: int) -> int:
+        """Push up to `limit` units s -> t over admissible arcs; return the amount.
+
+        Dinic's method: BFS levels over the admissible arcs, then a DFS that
+        follows only arcs one level up, with a current-arc pointer per node
+        so that a dead end is never searched twice. An arc that carries flow
+        and its reverse are both admissible, so zero-cost cycles exist; the
+        levels keep the DFS from re-entering a node on its current path.
+        Repeats until t is unreachable, so the flow on the admissible
+        subgraph is maximum (or `limit` is reached).
+        """
+        adj, to, cap, cost = self.adj, self.to, self.cap, self.cost
+        pushed = 0
+        while pushed < limit:
+            level = [-1] * self.n
+            level[s] = 0
+            queue = [s]
+            for u in queue:
+                if level[t] >= 0:
+                    break
+                pu, up = potential[u], level[u] + 1
+                for arc in adj[u]:
+                    v = to[arc]
+                    if level[v] < 0 and cap[arc] > 0 and cost[arc] + pu == potential[v]:
+                        level[v] = up
+                        queue.append(v)
+            if level[t] < 0:
+                break
+            current = [0] * self.n
+            path: list[int] = []
+            u = s
+            while pushed < limit:
+                if u == t:
+                    delta = min(limit - pushed, min(cap[arc] for arc in path))
+                    for arc in path:
+                        cap[arc] -= delta
+                        cap[arc ^ 1] += delta
+                    pushed += delta
+                    path.clear()
+                    u = s
+                    continue
+                arcs = adj[u]
+                i = current[u]
+                pu, up = potential[u], level[u] + 1
+                while i < len(arcs):
+                    arc = arcs[i]
+                    v = to[arc]
+                    if level[v] == up and cap[arc] > 0 and cost[arc] + pu == potential[v]:
+                        break
+                    i += 1
+                current[u] = i
+                if i < len(arcs):
+                    path.append(arcs[i])
+                    u = to[arcs[i]]
+                elif u == s:
+                    break
+                else:
+                    u = to[path.pop() ^ 1]
+                    current[u] += 1
+        return pushed
 
     def feasible_potentials(self) -> list[int]:
         """Bellman-Ford potentials of the current residual graph.

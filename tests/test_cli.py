@@ -186,6 +186,15 @@ def test_verify_figure1_all_checks_exit0(tmp_path, capsys):
     assert "PASS degree-audit" in out
 
 
+def test_verify_one_vertex_graph_skips_lemma3(tmp_path, capsys):
+    path = tmp_path / "k1.rot"
+    path.write_text("0:\n")
+    code, out, err = run_cli(capsys, "verify", "--input", str(path))
+    assert code == 0
+    assert "SKIP lemma3: graph has no vertex pair" in out.splitlines()
+    assert "error:" not in err
+
+
 def test_verify_star_with_pendants_exit1(tmp_path, capsys):
     g, *_ = star_with_pendants()
     path = tmp_path / "star.edges"

@@ -19,7 +19,7 @@ from riccikit.curvature import (
     report_to_csv,
     report_to_json_dict,
 )
-from riccikit.graphs import RotationSystem, bfs_distances, trace_faces
+from riccikit.graphs import RotationSystem, bfs_distances, diameter, trace_faces
 from riccikit.transport import InternalConsistencyError, _MinCostFlow
 
 from oracles import oracle_kappa, random_connected_graph, relabeled
@@ -116,6 +116,69 @@ def test_lipschitz_program_rejects_a_broken_certificate(c6, monkeypatch):
     monkeypatch.setattr(_MinCostFlow, "feasible_potentials", lambda self: [0] * self.n)
     with pytest.raises(InternalConsistencyError, match=r"f\(y\) - f\(x\)"):
         build_lipschitz_program(c6, 0, 1).solve()
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        families.cycle(8)[0],
+        families.wheel(7)[0],
+        families.hypercube(3)[0],
+        families.complete(5)[0],
+        random_connected_graph(random.Random(19), n_max=12, max_degree=4),
+        random_connected_graph(random.Random(38), n_max=12, max_degree=4),
+    ],
+    ids=["c8", "wheel7", "q3", "k5", "random19", "random38"],
+)
+def test_spanning_arcs_close_to_the_metric(g, monkeypatch):
+    added = []
+    add_edge = _MinCostFlow.add_edge
+
+    def record(self, u, v, cap, cost):
+        added.append((u, v, cost))
+        return add_edge(self, u, v, cap, cost)
+
+    monkeypatch.setattr(_MinCostFlow, "add_edge", record)
+    checked = set()
+    for x, y in combinations(g.vertices, 2):
+        prog = build_lipschitz_program(g, x, y)
+        if prog.d_xy > 4:
+            continue
+        checked.add(prog.d_xy)
+        added.clear()
+        prog.solve()
+        n = len(prog.domain)
+        closure = [[0 if i == j else float("inf") for j in range(n)] for i in range(n)]
+        arcs = [(u, v, c) for u, v, c in added if u < n and v < n and c > 0]
+        for u, v, c in arcs:
+            assert c == prog.dist[prog.domain[u], prog.domain[v]]
+            closure[u][v] = min(closure[u][v], c)
+        for k in range(n):
+            for i in range(n):
+                for j in range(n):
+                    closure[i][j] = min(closure[i][j], closure[i][k] + closure[k][j])
+        assert all(
+            closure[i][j] == prog.dist[u, v]
+            for i, u in enumerate(prog.domain)
+            for j, v in enumerate(prog.domain)
+        )
+    assert checked == set(range(1, min(diameter(g), 4) + 1))
+
+
+def test_wheel_hub_rim_solve_needs_few_phases(monkeypatch):
+    # Successive shortest paths ran 58 Dijkstras on this edge.
+    calls = []
+    shortest_paths = _MinCostFlow._shortest_paths
+
+    def count(self, *args):
+        calls.append(1)
+        return shortest_paths(self, *args)
+
+    monkeypatch.setattr(_MinCostFlow, "_shortest_paths", count)
+    g, _ = families.wheel(60)
+    value, _ = build_lipschitz_program(g, 60, 0).solve()
+    assert 1 <= len(calls) <= 4
+    assert value == kappa_lly_slope(g, 60, 0)
 
 
 def test_kappa_lly_nonadjacent_pair(c6):

@@ -224,3 +224,15 @@ def test_serialization_round_trip():
 def test_diameter(c6, k3):
     assert diameter(c6) == 3
     assert diameter(k3) == 1
+
+
+def test_distances_and_diameter_match_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(1618)
+    for _ in range(20):
+        g = random_connected_graph(rng, n_max=16, max_degree=5)
+        h = nx.Graph(g.edges())
+        h.add_nodes_from(g.vertices)
+        for v in g.vertices:
+            assert bfs_distances(g, v).dist == nx.single_source_shortest_path_length(h, v)
+        assert diameter(g) == nx.diameter(h)

@@ -254,3 +254,28 @@ def test_integer_potentials_for_adjacent_lazy_pairs():
         for alpha in (Fraction(0), Fraction(1, 3), half):
             pot = kantorovich_potential(g, lazy_measure(g, x, alpha), lazy_measure(g, y, alpha))
             assert all(isinstance(v, int) for _, v in pot.items())
+
+
+def test_matches_oracle_on_tied_random_measures():
+    # Equal masses on overlapping supports give many s-t paths of equal
+    # reduced cost, so each primal-dual phase pushes flow along several.
+    rng = random.Random(2718)
+    for _ in range(20):
+        g = random_connected_graph(rng, n_max=8, max_degree=4)
+        verts = list(g.vertices)
+        if len(verts) < 3:
+            continue
+        shared = rng.sample(verts, 2)
+        rest = [v for v in verts if v not in shared]
+        supports = [shared + rng.sample(rest, rng.randint(0, min(2, len(rest))))
+                    for _ in range(2)]
+        m1, m2 = (_tied_measure(rng, s) for s in supports)
+        result = optimal_transport(g, m1, m2)
+        assert result.distance == oracle_wasserstein(g, m1, m2)
+        assert verify_duality(result.plan, result.potential, g)
+
+
+def _tied_measure(rng, support):
+    weights = {v: rng.choice((1, 1, 2)) for v in support}
+    total = sum(weights.values())
+    return Measure({v: Fraction(w, total) for v, w in weights.items()})
