@@ -43,7 +43,7 @@ def _load_graph(args):
     path = Path(args.input)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _InputError(f"cannot read {path}: {exc}") from None
     fmt = args.format or sniff_format(text)
     return parse_graph(text, fmt)
@@ -58,7 +58,10 @@ def _write_text(path: str | None, text: str) -> None:
 
 def cmd_generate(args) -> int:
     spec = FamilySpec(args.family, args.n)
-    graph, rot = spec.build()
+    try:
+        graph, rot = spec.build()
+    except ValueError as exc:  # a family parameter out of range
+        raise _InputError(str(exc)) from None
     base = args.out or spec.label()
     edge_path = Path(f"{base}.edges")
     edge_path.write_text(to_edgelist_text(graph), encoding="utf-8")
@@ -74,6 +77,10 @@ def cmd_generate(args) -> int:
 def cmd_curvature(args) -> int:
     graph, rot = _load_graph(args)
     alpha = _parse_alpha(args.alpha) if args.alpha is not None else None
+    if args.mode == "alpha" and alpha is None:
+        raise _InputError("mode 'alpha' needs an alpha value")
+    if args.mode != "alpha" and alpha is not None:
+        raise _InputError("alpha is only meaningful in mode 'alpha'")
     report = curvature_report(
         graph,
         rot=rot,
@@ -110,10 +117,10 @@ def cmd_transport(args) -> int:
 def cmd_verify(args) -> int:
     graph, rot = _load_graph(args)
     checks = args.checks.split(",") if args.checks else None
-    try:
-        results = run_checks(graph, rot=rot, checks=checks, seed=args.seed)
-    except ValueError as exc:
-        raise _InputError(str(exc)) from None
+    unknown = [c for c in checks or () if c not in ALL_CHECKS]
+    if unknown:
+        raise _InputError(f"unknown check {unknown[0]!r}")
+    results = run_checks(graph, rot=rot, checks=checks, seed=args.seed)
     failed = False
     for res in results:
         print(f"{res.status.upper():4s} {res.name}: {res.details}")
@@ -171,7 +178,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (_InputError, GraphError, TransportError, EmbeddingError, ValueError) as exc:
+    except (_InputError, GraphError, TransportError, EmbeddingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalConsistencyError as exc:

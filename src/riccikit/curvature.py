@@ -14,16 +14,9 @@ integer transshipment problem on U: supplies are the objective scaled to
 integers, constraint arcs u -> v of cost d(u, v) are uncapacitated, and one
 arc y -> x of cost -d(x, y) encodes the gradient constraint. The optimum is
 -(min cost) / (scale * d(x, y)), and the flow's node potentials are an
-optimal integer f.
-
-Not every pair needs an arc. The arc u -> v is kept only if d(u, v) = 1 or
-no G-neighbour of u inside U is one step closer to v. The shortest-path
-closure of the kept arcs is still d on U, by induction on d(u, v): a pair at
-distance 1 is an arc; a dropped pair at distance d has a neighbour w in U
-with d(w, v) = d - 1, whose closure is d - 1 by induction, so the closure of
-(u, v) is at most d, and no path of kept arcs is shorter than d. Summing the
-kept constraints along such a path gives f(v) - f(u) <= d(u, v) for every
-pair, so the feasible f on U, and with it the optimum, are unchanged.
+optimal integer f. The network is `transport._metric_network`, which
+lazy-walk transport solves without the gradient arc; its spanning arc set
+has shortest-path closure d on U, so the optimum is unchanged.
 
 The independent lazy-walk slope engine, the enumeration oracle and the
 reference simplex in the test suite cross-check this.
@@ -46,7 +39,8 @@ from .graphs import (
     trace_faces,
     validate_embedding,
 )
-from .transport import InternalConsistencyError, _MinCostFlow, _frac, lazy_measure, wasserstein
+from .transport import InternalConsistencyError, _frac, lazy_measure, wasserstein
+from .transport import _domain_metric, _lipschitz_violation, _metric_network
 
 
 class EmbeddingError(ValueError):
@@ -74,42 +68,23 @@ class LipschitzProgram:
         """
         x, y, d_xy, dist, domain = self.x, self.y, self.d_xy, self.dist, self.domain
         scale = lcm(*(c.denominator for c in self.objective.values()))
-        supply = {u: int(c * scale) for u, c in self.objective.items()}
-        amount = sum(c for c in supply.values() if c > 0)
-        node = {u: i for i, u in enumerate(domain)}
-        s_node, t_node = len(domain), len(domain) + 1
-        net = _MinCostFlow(len(domain) + 2)
-        for u, c in supply.items():
-            if c > 0:
-                net.add_edge(s_node, node[u], c, 0)
-            elif c < 0:
-                net.add_edge(node[u], t_node, -c, 0)
-        # Capacities above the total supply never saturate, so every
-        # constraint arc stays residual and the final potentials satisfy it.
-        # Only the spanning arcs of the module docstring are added.
-        near = {u: [w for w in domain if dist[u, w] == 1] for u in domain}
-        for u in domain:
-            for v in domain:
-                d = dist[u, v]
-                if u != v and (d == 1 or all(dist[w, v] != d - 1 for w in near[u])):
-                    net.add_edge(node[u], node[v], amount + 1, d)
-        net.add_edge(node[y], node[x], amount + 1, -d_xy)
-        value = Fraction(-net.solve(s_node, t_node, amount), scale * d_xy)
+        supply = {u: c.numerator * (scale // c.denominator) for u, c in self.objective.items()}
+        net, amount = _metric_network(domain, dist, supply)
+        n, ix = len(domain), domain.index(x)
+        net.add_edge(domain.index(y), ix, amount + 1, -d_xy)
+        value = Fraction(-net.solve(n, n + 1, amount), scale * d_xy)
 
         p = net.feasible_potentials()
-        f = {u: p[node[u]] - p[node[x]] for u in domain}
+        f = {u: p[i] - p[ix] for i, u in enumerate(domain)}
         if not all(isinstance(fu, int) for fu in f.values()):
             raise InternalConsistencyError("curvature potential is not integer-valued")
         if f[y] - f[x] != d_xy:
             raise InternalConsistencyError(
                 f"curvature potential has f(y) - f(x) = {f[y] - f[x]}, expected {d_xy}"
             )
-        for u in domain:
-            for v in domain:
-                if f[v] - f[u] > dist[u, v]:
-                    raise InternalConsistencyError(
-                        f"curvature potential violates 1-Lipschitz on ({u}, {v})"
-                    )
+        bad = _lipschitz_violation(f, dist)
+        if bad is not None:
+            raise InternalConsistencyError(f"curvature potential violates 1-Lipschitz on {bad}")
         attained = sum(
             (c * f[u] for u, c in self.objective.items()), start=Fraction(0)
         ) / d_xy
@@ -124,8 +99,7 @@ def build_lipschitz_program(g: Graph, x: int, y: int) -> LipschitzProgram:
     if x == y:
         raise ValueError("curvature requires two distinct vertices")
     domain = sorted({x, y} | set(g.neighbors(x)) | set(g.neighbors(y)))
-    maps = {u: bfs_distances(g, u) for u in domain}
-    dist = {(u, v): maps[u][v] for u in domain for v in domain}
+    dist = _domain_metric(g, domain)
     objective: dict[int, Fraction] = {}
     deg_x, deg_y = g.degree(x), g.degree(y)
     for z in g.neighbors(x):

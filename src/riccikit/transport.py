@@ -1,11 +1,12 @@
 """Probability measures on graph vertices and exact Wasserstein transport.
 
-All masses, costs and distances are exact rationals. The transportation
-problem is scaled to integers by the common denominator of the two measures
-and solved by the primal-dual algorithm: each phase runs one Dijkstra over
-reduced costs and then pushes a maximum flow over the arcs of zero reduced
-cost. The node potentials of the optimal flow yield an integer Kantorovich
-potential.
+All masses, costs and distances are exact rationals. By Kantorovich-
+Rubinstein duality W1(m1, m2) is the min-cost transshipment of m1 - m2
+over the graph metric on D = supp m1 union supp m2, scaled to integers. It
+is solved on `_metric_network`, which the Lipschitz curvature program
+shares, by a primal-dual min-cost flow. The negated node potentials are an
+integer Kantorovich potential; a path decomposition of the flow is an
+optimal coupling.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .graphs import Graph, bfs_distances
 
@@ -98,13 +99,8 @@ class TransportPlan:
     target: Measure
 
     def cost(self, g: Graph) -> Fraction:
-        total = Fraction(0)
-        dist_cache: dict[int, object] = {}
-        for (u, v), mass in self.entries.items():
-            if u not in dist_cache:
-                dist_cache[u] = bfs_distances(g, u)
-            total += mass * dist_cache[u][v]
-        return total
+        dist = {u: bfs_distances(g, u) for u, _ in self.entries}
+        return sum((mass * dist[u][v] for (u, v), mass in self.entries.items()), Fraction(0))
 
     def row_sums(self) -> dict[int, Fraction]:
         out: dict[int, Fraction] = {}
@@ -137,10 +133,7 @@ class DualPotential:
 
     def pairing(self, m1: Measure, m2: Measure) -> Fraction:
         """Dual value sum f (m1 - m2)."""
-        total = Fraction(0)
-        for v, f in self.values.items():
-            total += f * (m1[v] - m2[v])
-        return total
+        return sum((f * (m1[v] - m2[v]) for v, f in self.values.items()), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -200,18 +193,14 @@ class _MinCostFlow:
                 potential[v] += dist[v] if dist[v] < dt else dt
             # The Dijkstra path is admissible too; augmenting it directly
             # saves a level BFS and a DFS when the phase has only this path.
-            delta = amount - sent
-            v = t
+            path, v = [], t
             while v != s:
-                arc = prev_arc[v]
-                delta = min(delta, cap[arc])
-                v = to[arc ^ 1]
-            v = t
-            while v != s:
-                arc = prev_arc[v]
+                path.append(prev_arc[v])
+                v = to[path[-1] ^ 1]
+            delta = min(amount - sent, *(cap[arc] for arc in path))
+            for arc in path:
                 cap[arc] -= delta
                 cap[arc ^ 1] += delta
-                v = to[arc ^ 1]
             delta += self._admissible_flow(s, t, potential, amount - sent - delta)
             sent += delta
             total += delta * (potential[t] - potential[s])
@@ -331,10 +320,53 @@ class _MinCostFlow:
         raise InternalConsistencyError("negative cycle in optimal residual graph")
 
 
-def _check_supported(g: Graph, m: Measure, name: str) -> None:
-    for v in m.support():
-        if v not in g:
-            raise TransportError(f"{name} puts mass on vertex {v} not in the graph")
+def _domain_metric(g: Graph, domain: Sequence[int]) -> dict[tuple[int, int], int]:
+    """Graph distance d(u, v) for every ordered pair of `domain`."""
+    maps = {u: bfs_distances(g, u) for u in domain}
+    return {(u, v): maps[u][v] for u in domain for v in domain}
+
+
+def _lipschitz_violation(
+    f: Mapping[int, int], dist: Mapping[tuple[int, int], int]
+) -> tuple[int, int] | None:
+    """The first pair (u, v) of `dist` with f(v) - f(u) > d(u, v), if any."""
+    return next(((u, v) for (u, v), d in dist.items() if f[v] - f[u] > d), None)
+
+
+def _metric_network(
+    domain: Sequence[int], dist: Mapping[tuple[int, int], int], supply: Mapping[int, int]
+) -> tuple[_MinCostFlow, int]:
+    """Transshipment network of integer `supply` over the metric `dist` on `domain`.
+
+    Node i is domain[i]; s = n feeds the positive supplies and t = n + 1
+    drains the negative ones. Returns the network and the amount to push
+    s -> t. Domain arcs cost d(u, v) and have capacity above that amount, so
+    they never saturate and the final potentials satisfy each of them.
+
+    Only a spanning set of arcs is added: u -> v is kept if d(u, v) = 1 or
+    no G-neighbour of u inside the domain is one step closer to v. Their
+    shortest-path closure is d on the domain, by induction on d: a pair at
+    distance 1 is an arc; a dropped pair at distance d has a neighbour w in
+    the domain with d(w, v) = d - 1, whose closure is d - 1, and no path of
+    arcs is shorter than d. So potentials feasible for the kept arcs are
+    1-Lipschitz on the whole domain.
+    """
+    n = len(domain)
+    node = {u: i for i, u in enumerate(domain)}
+    amount = sum(c for c in supply.values() if c > 0)
+    net = _MinCostFlow(n + 2)
+    for u, c in supply.items():
+        if c > 0:
+            net.add_edge(n, node[u], c, 0)
+        elif c < 0:
+            net.add_edge(node[u], n + 1, -c, 0)
+    near = {u: [w for w in domain if dist[u, w] == 1] for u in domain}
+    for u in domain:
+        for v in domain:
+            d = dist[u, v]
+            if u != v and (d == 1 or all(dist[w, v] != d - 1 for w in near[u])):
+                net.add_edge(node[u], node[v], amount + 1, d)
+    return net, amount
 
 
 def optimal_transport(
@@ -342,59 +374,55 @@ def optimal_transport(
 ) -> TransportResult:
     """Exact Wasserstein distance, an optimal coupling, and an integer potential.
 
-    Masses are scaled by the lcm of their denominators (times the optional
-    extra multiplier, which must not change the result) to an integer
-    transportation problem over the two supports with BFS distances as costs.
+    Masses are scaled to integers by the lcm of their denominators, times the
+    optional multiplier, which must not change the result.
     """
     if scale_multiplier < 1:
         raise TransportError("scale_multiplier must be a positive integer")
-    _check_supported(g, m1, "m1")
-    _check_supported(g, m2, "m2")
-    sources = m1.support()
-    sinks = m2.support()
+    domain = sorted(set(m1.support()) | set(m2.support()))
+    foreign = [v for v in domain if v not in g]
+    if foreign:
+        raise TransportError(f"a measure puts mass on vertex {foreign[0]} not in the graph")
     scale = lcm(*(m.denominator for _, m in m1.items()),
                 *(m.denominator for _, m in m2.items())) * scale_multiplier
-    supplies = [int(m1[u] * scale) for u in sources]
-    demands = [int(m2[v] * scale) for v in sinks]
-
-    sink_dist = {v: bfs_distances(g, v) for v in sinks}
-
-    ns, nt = len(sources), len(sinks)
-    net = _MinCostFlow(2 + ns + nt)
-    s_node, t_node = 0, 1
-    for i, u in enumerate(sources):
-        net.add_edge(s_node, 2 + i, supplies[i], 0)
-    sink_arcs = []
-    for j, v in enumerate(sinks):
-        sink_arcs.append(net.add_edge(2 + ns + j, t_node, demands[j], 0))
-    # Interior capacities exceed the total supply so no source-sink arc ever
-    # saturates; reduced-cost feasibility then holds on every such arc, which
-    # the dual extraction below relies on.
-    pair_arcs = {}
-    for i, u in enumerate(sources):
-        for j, v in enumerate(sinks):
-            pair_arcs[i, j] = net.add_edge(2 + i, 2 + ns + j, scale + 1, sink_dist[v][u])
-
-    total_cost = net.solve(s_node, t_node, scale)
-    distance = Fraction(total_cost, scale)
-
-    entries = {}
-    for (i, j), arc in pair_arcs.items():
-        flow = (scale + 1) - net.cap[arc]
-        if flow > 0:
-            entries[(sources[i], sinks[j])] = Fraction(flow, scale)
-    plan = TransportPlan(entries, m1, m2)
+    supply = dict.fromkeys(domain, 0)
+    for v, m in m1.items():
+        supply[v] += m.numerator * (scale // m.denominator)
+    for v, m in m2.items():
+        supply[v] -= m.numerator * (scale // m.denominator)
+    n = len(domain)
+    net, amount = _metric_network(domain, _domain_metric(g, domain), supply)
+    distance = Fraction(net.solve(n, n + 1, amount), scale)
 
     p = net.feasible_potentials()
-    beta = {v: p[2 + ns + j] for j, v in enumerate(sinks)}
-    domain = sorted(set(sources) | set(sinks))
-    values = {}
-    for w in domain:
-        values[w] = min(sink_dist[v][w] - beta[v] for v in sinks)
-    anchor = min(sources)
-    base = values[anchor]
-    values = {w: f - base for w, f in values.items()}
-    potential = DualPotential(values, anchor)
+    anchor = min(m1.support())
+    base = p[domain.index(anchor)]
+    potential = DualPotential({v: base - p[i] for i, v in enumerate(domain)}, anchor)
+
+    # The common mass stays in place; the rest follows a path decomposition
+    # of the flow on the domain arcs (the flow on an arc is the capacity of
+    # its reverse). An arc that carries flow has reduced cost 0, so p rises
+    # by its cost >= 1 along it: the flow has no cycle, and a path from u to
+    # v costs p(v) - p(u) <= d(u, v); no path is shorter, so it costs d(u, v).
+    entries = {(v, v): min(m1[v], m2[v]) for v in domain if m1[v] and m2[v]}
+    flow = {(i, net.to[a]): net.cap[a ^ 1] for i in range(n) for a in net.adj[i]
+            if a % 2 == 0 and net.to[a] < n and net.cap[a ^ 1] > 0}
+    excess = [supply[v] for v in domain]
+    for i in range(n):
+        while excess[i] > 0:
+            path = [i]
+            while excess[path[-1]] >= 0:
+                path.append(next(j for j in range(n) if flow.get((path[-1], j))))
+            arcs = list(zip(path, path[1:]))
+            u = path[-1]
+            delta = min(excess[i], -excess[u], *(flow[a] for a in arcs))
+            for a in arcs:
+                flow[a] -= delta
+            excess[i] -= delta
+            excess[u] += delta
+            key = (domain[i], domain[u])
+            entries[key] = entries.get(key, 0) + Fraction(delta, scale)
+    plan = TransportPlan(entries, m1, m2)
 
     _self_check(g, m1, m2, distance, plan, potential)
     return TransportResult(distance, plan, potential)
@@ -417,9 +445,8 @@ def wasserstein(g: Graph, m1: Measure, m2: Measure) -> tuple[Fraction, Transport
 def kantorovich_potential(g: Graph, m1: Measure, m2: Measure) -> DualPotential:
     """Integer 1-Lipschitz potential attaining the transportation distance.
 
-    Normalized to 0 at the smallest vertex of support(m1); integrality,
-    Lipschitz feasibility and the zero duality gap are verified before
-    returning.
+    Normalized to 0 at the smallest vertex of support(m1) and verified, with
+    the zero duality gap, before returning.
     """
     return optimal_transport(g, m1, m2).potential
 
@@ -452,21 +479,17 @@ def verify_duality(plan: TransportPlan, potential: DualPotential, g: Graph) -> D
     if missing:
         problems.append(f"potential undefined on support vertices {sorted(missing)}")
     else:
-        for v, f in potential.items():
-            if not isinstance(f, int):
-                problems.append(f"potential value at {v} is not an integer")
-                break
-        order = sorted(domain)
-        for i, u in enumerate(order):
-            du = bfs_distances(g, u)
-            # pairs are checked once, (u, v) with u < v, as |.| is symmetric
-            v = next((w for w in order[i + 1:] if abs(potential[u] - potential[w]) > du[w]), None)
-            if v is not None:
-                problems.append(
-                    f"potential violates 1-Lipschitz on ({u}, {v}): "
-                    f"|{potential[u]} - {potential[v]}| > {du[v]}"
-                )
-                break
+        odd = next((v for v, f in potential.items() if not isinstance(f, int)), None)
+        if odd is not None:
+            problems.append(f"potential value at {odd} is not an integer")
+        dist = _domain_metric(g, sorted(domain))
+        bad = _lipschitz_violation(potential.values, dist)
+        if bad is not None:
+            u, v = bad
+            problems.append(
+                f"potential violates 1-Lipschitz on ({u}, {v}): "
+                f"{potential[v]} - {potential[u]} > {dist[bad]}"
+            )
         primal = plan.cost(g)
         dual = potential.pairing(m1, m2)
         if primal != dual:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from riccikit.cli import main
 from riccikit import families
 from riccikit.graphs import to_edgelist_text, to_rotation_text
@@ -235,3 +237,45 @@ def test_format_flag_overrides_sniffing(tmp_path, capsys):
     code, *_ = run_cli(capsys, "curvature", "--input", str(path), "--format", "edgelist",
                        "--jobs", "1")
     assert code == 2  # rotation text is not a valid edge list
+
+
+def test_input_errors_exit2(tmp_path, capsys):
+    path = tmp_path / "k3.edges"
+    path.write_text("0 1\n0 2\n1 2\n")
+    latin1 = tmp_path / "latin1.edges"
+    latin1.write_bytes(b"0 1 \xe9\n")
+    cases = [
+        (["generate", "--family", "cycle", "--n", "2", "--out", str(tmp_path / "c")],
+         "cycle needs n >= 3"),
+        (["generate", "--family", "figure1", "--n", "3", "--out", str(tmp_path / "f")],
+         "takes no parameter"),
+        (["curvature", "--input", str(path), "--mode", "alpha", "--jobs", "1"],
+         "needs an alpha value"),
+        (["curvature", "--input", str(path), "--alpha", "1/2", "--jobs", "1"],
+         "only meaningful in mode 'alpha'"),
+        (["verify", "--input", str(path), "--checks", "duality,nonsense"],
+         "unknown check 'nonsense'"),
+        (["curvature", "--input", str(latin1), "--jobs", "1"], "cannot read"),
+    ]
+    for argv, message in cases:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+
+
+def test_solver_value_error_is_not_bad_input(tmp_path, capsys, monkeypatch):
+    # Only input and validation errors exit 2; a ValueError raised inside
+    # the solver is a programming error and must not be reported as bad input.
+    from riccikit.curvature import LipschitzProgram
+
+    def broken(self):
+        raise ValueError("solver bug")
+
+    monkeypatch.setattr(LipschitzProgram, "solve", broken)
+    path = tmp_path / "k3.edges"
+    path.write_text("0 1\n0 2\n1 2\n")
+    for argv in (["curvature", "--input", str(path), "--jobs", "1"],
+                 ["verify", "--input", str(path), "--checks", "positivity"]):
+        with pytest.raises(ValueError, match="solver bug"):
+            main(argv)

@@ -10,6 +10,7 @@ from riccikit.transport import (
     InternalConsistencyError,
     Measure,
     TransportError,
+    _MinCostFlow,
     TransportPlan,
     kantorovich_potential,
     lazy_measure,
@@ -279,3 +280,52 @@ def _tied_measure(rng, support):
     weights = {v: rng.choice((1, 1, 2)) for v in support}
     total = sum(weights.values())
     return Measure({v: Fraction(w, total) for v, w in weights.items()})
+
+
+def test_transport_arcs_close_to_the_metric(monkeypatch):
+    # Transport is a transshipment on D = supp m1 | supp m2 over the spanning
+    # arcs of the metric network: their closure must be the graph metric on D.
+    added = []
+    add_edge = _MinCostFlow.add_edge
+
+    def record(self, u, v, cap, cost):
+        added.append((u, v, cost))
+        return add_edge(self, u, v, cap, cost)
+
+    monkeypatch.setattr(_MinCostFlow, "add_edge", record)
+    rng = random.Random(4099)
+    checked = 0
+    for _ in range(25):
+        g = random_connected_graph(rng, n_max=10, max_degree=4)
+        verts = list(g.vertices)
+        if len(verts) < 3:
+            continue
+        m1, m2 = (_tied_measure(rng, rng.sample(verts, rng.randint(1, min(4, len(verts))))) for _ in range(2))
+        added.clear()
+        result = optimal_transport(g, m1, m2)
+        domain = sorted(set(m1.support()) | set(m2.support()))
+        dist = {u: bfs_distances(g, u) for u in domain}
+        n = len(domain)
+        closure = [[0 if i == j else float("inf") for j in range(n)] for i in range(n)]
+        for u, v, c in added:
+            if u < n and v < n and c > 0:
+                assert c == dist[domain[u]][domain[v]]
+                closure[u][v] = min(closure[u][v], c)
+        for k in range(n):
+            for i in range(n):
+                for j in range(n):
+                    closure[i][j] = min(closure[i][j], closure[i][k] + closure[k][j])
+        assert all(closure[i][j] == dist[u][v]
+                   for i, u in enumerate(domain) for j, v in enumerate(domain))
+
+        for (u, v), mass in result.plan.entries.items():
+            if u == v:
+                assert mass == min(m1[u], m2[u])
+            else:
+                assert m1[u] > m2[u] and m2[v] > m1[v]
+        assert all(result.plan.entries.get((v, v)) == min(m1[v], m2[v])
+                   for v in domain if m1[v] and m2[v])
+        assert result.distance == oracle_wasserstein(g, m1, m2)
+        assert verify_duality(result.plan, result.potential, g)
+        checked += 1
+    assert checked >= 15
