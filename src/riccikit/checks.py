@@ -24,7 +24,7 @@ from .curvature import (
 )
 from .graphs import Graph, RotationSystem, trace_faces, validate_embedding
 from .structure import degree_audit, instance_to_json_dict, lemma4_sweep
-from .transport import lazy_measure, optimal_transport, verify_duality
+from .transport import InternalConsistencyError, lazy_measure, optimal_transport, verify_duality
 
 ALL_CHECKS = (
     "positivity",
@@ -203,10 +203,20 @@ def _check_lemma3(g: Graph, report: CurvatureReport, **_) -> CheckResult:
     )
 
 
-def _check_lemma4(g: Graph, seed: int, **_) -> CheckResult:
+def _check_lemma4(g: Graph, report: CurvatureReport, seed: int, **_) -> CheckResult:
     failing = lemma4_sweep(g, seed=seed)
     if not failing:
         return CheckResult("lemma4", "pass", "no failing instance found")
+    # Each witness is feasible for the Lipschitz program, so it bounds the
+    # exact kappa of its edge from above; a larger kappa is a solver fault.
+    kappa_by_edge = {(rec.u, rec.v): rec.kappa for rec in report.edges}
+    for inst in failing:
+        kappa = kappa_by_edge[min(inst.x, inst.y), max(inst.x, inst.y)]
+        if kappa > inst.witness.nabla:
+            raise InternalConsistencyError(
+                f"kappa({inst.x}, {inst.y}) = {kappa} exceeds the lemma4 witness "
+                f"bound {inst.witness.nabla}"
+            )
     shown = instance_to_json_dict(failing[0])
     return CheckResult(
         "lemma4", "fail",

@@ -52,8 +52,11 @@ def _load_graph(args):
 def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise _InputError(f"cannot write {path}: {exc}") from None
 
 
 def cmd_generate(args) -> int:
@@ -63,14 +66,12 @@ def cmd_generate(args) -> int:
     except ValueError as exc:  # a family parameter out of range
         raise _InputError(str(exc)) from None
     base = args.out or spec.label()
-    edge_path = Path(f"{base}.edges")
-    edge_path.write_text(to_edgelist_text(graph), encoding="utf-8")
-    written = [str(edge_path)]
+    files = [(str(Path(f"{base}.edges")), to_edgelist_text(graph))]
     if rot is not None:
-        rot_path = Path(f"{base}.rot")
-        rot_path.write_text(to_rotation_text(rot), encoding="utf-8")
-        written.append(str(rot_path))
-    print("\n".join(written))
+        files.append((str(Path(f"{base}.rot")), to_rotation_text(rot)))
+    for path, text in files:
+        _write_text(path, text)
+    print("\n".join(path for path, _ in files))
     return 0
 
 

@@ -13,8 +13,9 @@ The program is a system of difference constraints, so its dual is an
 integer transshipment problem on U: supplies are the objective scaled to
 integers, constraint arcs u -> v of cost d(u, v) are uncapacitated, and one
 arc y -> x of cost -d(x, y) encodes the gradient constraint. The optimum is
--(min cost) / (scale * d(x, y)), and the flow's node potentials are an
-optimal integer f. The network is `transport._metric_network`, which
+-(min cost) / (scale * d(x, y)). The flow starts from the potentials
+d(x, .) on U, which price every arc at >= 0, and its final potentials are
+an optimal integer f. The network is `transport._metric_network`, which
 lazy-walk transport solves without the gradient arc; its spanning arc set
 has shortest-path closure d on U, so the optimum is unchanged.
 
@@ -72,9 +73,9 @@ class LipschitzProgram:
         net, amount = _metric_network(domain, dist, supply)
         n, ix = len(domain), domain.index(x)
         net.add_edge(domain.index(y), ix, amount + 1, -d_xy)
-        value = Fraction(-net.solve(n, n + 1, amount), scale * d_xy)
-
-        p = net.feasible_potentials()
+        # By the triangle inequality these price every arc, y -> x included, at >= 0.
+        p = [dist[x, u] for u in domain] + [d_xy + 1, 0]
+        value = Fraction(-net.solve(n, n + 1, amount, p), scale * d_xy)
         f = {u: p[i] - p[ix] for i, u in enumerate(domain)}
         if not all(isinstance(fu, int) for fu in f.values()):
             raise InternalConsistencyError("curvature potential is not integer-valued")

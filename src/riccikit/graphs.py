@@ -242,13 +242,6 @@ class Face:
     def size(self) -> int:
         return len(self.walk)
 
-    def incidences(self, v: int) -> int:
-        """Number of times the walk leaves v (counts repeated visits)."""
-        return sum(1 for u, _ in self.walk if u == v)
-
-    def touches(self, v: int) -> bool:
-        return any(u == v for u, _ in self.walk)
-
     def vertex_cycle(self) -> tuple[int, ...]:
         return tuple(u for u, _ in self.walk)
 

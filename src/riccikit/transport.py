@@ -4,9 +4,9 @@ All masses, costs and distances are exact rationals. By Kantorovich-
 Rubinstein duality W1(m1, m2) is the min-cost transshipment of m1 - m2
 over the graph metric on D = supp m1 union supp m2, scaled to integers. It
 is solved on `_metric_network`, which the Lipschitz curvature program
-shares, by a primal-dual min-cost flow. The negated node potentials are an
-integer Kantorovich potential; a path decomposition of the flow is an
-optimal coupling.
+shares, by a primal-dual min-cost flow that starts from zero potentials and
+keeps them optimal. The negated final potentials are an integer Kantorovich
+potential; a path decomposition of the flow is an optimal coupling.
 """
 
 from __future__ import annotations
@@ -153,6 +153,11 @@ class _MinCostFlow:
     s-t path costs potential[t] - potential[s], so a phase changes the
     total cost by its flow times that difference. The arc costs used here
     are small distances, so a solve needs only a few phases.
+
+    The caller supplies potentials that price every arc at a nonnegative
+    reduced cost. The capped update keeps that, since each new residual arc
+    reverses an admissible one, so they end optimal: no other
+    shortest-path algorithm runs.
     """
 
     def __init__(self, n: int):
@@ -174,40 +179,32 @@ class _MinCostFlow:
         self.cost.append(-cost)
         return arc
 
-    def solve(self, s: int, t: int, amount: int) -> int:
+    def solve(self, s: int, t: int, amount: int, potential: list[int]) -> int:
         """Push `amount` units s -> t at minimum total cost.
 
-        Negative arc costs are allowed as long as no cycle is negative: the
-        starting potentials make every reduced cost nonnegative.
+        `potential` must give every residual arc a nonnegative reduced
+        cost, cost + potential[u] - potential[v]. It is updated in place;
+        at the end every arc that carries flow below its capacity also has
+        reduced cost 0, so it holds optimal duals.
         """
-        n, to, cap = self.n, self.to, self.cap
-        potential = self.feasible_potentials()
         total = 0
         sent = 0
         while sent < amount:
-            dist, prev_arc = self._shortest_paths(s, t, potential)
+            dist = self._shortest_paths(s, t, potential)
             dt = dist[t]
             if dt == _INF:
                 raise InternalConsistencyError("transport network is infeasible")
-            for v in range(n):
+            for v in range(self.n):
                 potential[v] += dist[v] if dist[v] < dt else dt
-            # The Dijkstra path is admissible too; augmenting it directly
-            # saves a level BFS and a DFS when the phase has only this path.
-            path, v = [], t
-            while v != s:
-                path.append(prev_arc[v])
-                v = to[path[-1] ^ 1]
-            delta = min(amount - sent, *(cap[arc] for arc in path))
-            for arc in path:
-                cap[arc] -= delta
-                cap[arc ^ 1] += delta
-            delta += self._admissible_flow(s, t, potential, amount - sent - delta)
+            delta = self._admissible_flow(s, t, potential, amount - sent)
+            if not delta:
+                raise InternalConsistencyError("no admissible path after a potential update")
             sent += delta
             total += delta * (potential[t] - potential[s])
         return total
 
-    def _shortest_paths(self, s: int, t: int, potential: list[int]) -> tuple[list, list[int]]:
-        """Dijkstra from s over reduced costs: distances and each node's last arc.
+    def _shortest_paths(self, s: int, t: int, potential: list[int]) -> list:
+        """Dijkstra distances from s over reduced costs.
 
         Stops once t is settled. A node settled before t has its exact
         distance; any other has a label of at least dist[t], which the capped
@@ -215,7 +212,6 @@ class _MinCostFlow:
         """
         adj, to, cap, cost = self.adj, self.to, self.cap, self.cost
         dist: list = [_INF] * self.n
-        prev_arc = [-1] * self.n
         dist[s] = 0
         heap = [(0, s)]
         while heap:
@@ -231,9 +227,8 @@ class _MinCostFlow:
                 nd = d + cost[arc] + potential[u] - potential[v]
                 if nd < dist[v]:
                     dist[v] = nd
-                    prev_arc[v] = arc
                     heapq.heappush(heap, (nd, v))
-        return dist, prev_arc
+        return dist
 
     def _admissible_flow(self, s: int, t: int, potential: list[int], limit: int) -> int:
         """Push up to `limit` units s -> t over admissible arcs; return the amount.
@@ -295,29 +290,6 @@ class _MinCostFlow:
                     u = to[path.pop() ^ 1]
                     current[u] += 1
         return pushed
-
-    def feasible_potentials(self) -> list[int]:
-        """Bellman-Ford potentials of the current residual graph.
-
-        Starting every node at 0 is valid because neither the initial network
-        nor the residual of an optimal flow has a negative cycle; the result
-        satisfies p[v] <= p[u] + cost on every residual arc.
-        """
-        p = [0] * self.n
-        arcs = [
-            (self.to[a ^ 1], self.to[a], self.cost[a])
-            for a in range(len(self.to))
-            if self.cap[a] > 0
-        ]
-        for _ in range(self.n):
-            changed = False
-            for u, v, c in arcs:
-                if p[u] + c < p[v]:
-                    p[v] = p[u] + c
-                    changed = True
-            if not changed:
-                return p
-        raise InternalConsistencyError("negative cycle in optimal residual graph")
 
 
 def _domain_metric(g: Graph, domain: Sequence[int]) -> dict[tuple[int, int], int]:
@@ -392,9 +364,8 @@ def optimal_transport(
         supply[v] -= m.numerator * (scale // m.denominator)
     n = len(domain)
     net, amount = _metric_network(domain, _domain_metric(g, domain), supply)
-    distance = Fraction(net.solve(n, n + 1, amount), scale)
-
-    p = net.feasible_potentials()
+    p = [0] * (n + 2)  # every arc cost is >= 0
+    distance = Fraction(net.solve(n, n + 1, amount, p), scale)
     anchor = min(m1.support())
     base = p[domain.index(anchor)]
     potential = DualPotential({v: base - p[i] for i, v in enumerate(domain)}, anchor)

@@ -156,7 +156,14 @@ def test_missing_file_exit2(capsys):
 def test_internal_fault_exit3_without_traceback(tmp_path, capsys, monkeypatch):
     # Zero potentials break the curvature certificate, which must surface as
     # an internal error, not as a failed verification (1) or bad input (2).
-    monkeypatch.setattr(_MinCostFlow, "feasible_potentials", lambda self: [0] * self.n)
+    solve = _MinCostFlow.solve
+
+    def solve_then_zero_potentials(self, s, t, amount, potential):
+        total = solve(self, s, t, amount, potential)
+        potential[:] = [0] * len(potential)
+        return total
+
+    monkeypatch.setattr(_MinCostFlow, "solve", solve_then_zero_potentials)
     g, _ = families.cycle(6)
     path = tmp_path / "c6.edges"
     path.write_text(to_edgelist_text(g))
@@ -204,6 +211,27 @@ def test_verify_star_with_pendants_exit1(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "verify", "--input", str(path), "--checks", "lemma4")
     assert code == 1
     assert "FAIL lemma4" in out
+
+
+def test_lemma4_witness_below_kappa_is_an_internal_fault(tmp_path, capsys, monkeypatch):
+    # A witness bounds kappa of its edge from above; a kappa above the
+    # bound means a solver fault (exit 3), not a failed verification.
+    from dataclasses import replace
+    from fractions import Fraction
+
+    from riccikit import checks
+    from riccikit.structure import lemma4_sweep
+
+    g, *_ = star_with_pendants()
+    inst = lemma4_sweep(g)[0]
+    bogus = replace(inst, witness=replace(inst.witness, nabla=Fraction(-100)))
+    monkeypatch.setattr(checks, "lemma4_sweep", lambda g, seed: [bogus])
+    path = tmp_path / "star.edges"
+    path.write_text(to_edgelist_text(g))
+    code, out, err = run_cli(capsys, "verify", "--input", str(path), "--checks", "lemma4")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: kappa(") and err.count("\n") == 1
 
 
 def test_verify_check_subset(tmp_path, capsys):
@@ -262,6 +290,23 @@ def test_input_errors_exit2(tmp_path, capsys):
         assert code == 2, argv
         assert out == ""
         assert err.startswith("error: ") and message in err
+
+
+def test_unwritable_out_exit2(tmp_path, capsys):
+    path = tmp_path / "c5.edges"
+    path.write_text(to_edgelist_text(families.cycle(5)[0]))
+    missing = tmp_path / "nodir"
+    for argv in (
+        ["curvature", "--input", str(path), "--jobs", "1", "--out", str(missing / "x.json")],
+        ["curvature", "--input", str(path), "--jobs", "1", "--out", str(missing / "x.csv")],
+        ["generate", "--family", "cycle", "--n", "5", "--out", str(missing / "c")],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error: cannot write ") and err.count("\n") == 1
+        assert "Traceback" not in err
+    assert not missing.exists()
 
 
 def test_solver_value_error_is_not_bad_input(tmp_path, capsys, monkeypatch):

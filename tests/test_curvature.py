@@ -19,7 +19,14 @@ from riccikit.curvature import (
     report_to_csv,
     report_to_json_dict,
 )
-from riccikit.graphs import RotationSystem, bfs_distances, diameter, trace_faces
+from riccikit.graphs import (
+    Graph,
+    RotationSystem,
+    bfs_distances,
+    diameter,
+    trace_faces,
+    validate_embedding,
+)
 from riccikit.transport import InternalConsistencyError, _MinCostFlow
 
 from oracles import oracle_kappa, random_connected_graph, relabeled
@@ -113,7 +120,14 @@ def test_lipschitz_program_certificate(family, x, y):
 
 
 def test_lipschitz_program_rejects_a_broken_certificate(c6, monkeypatch):
-    monkeypatch.setattr(_MinCostFlow, "feasible_potentials", lambda self: [0] * self.n)
+    solve = _MinCostFlow.solve
+
+    def solve_then_zero_potentials(self, s, t, amount, potential):
+        total = solve(self, s, t, amount, potential)
+        potential[:] = [0] * len(potential)
+        return total
+
+    monkeypatch.setattr(_MinCostFlow, "solve", solve_then_zero_potentials)
     with pytest.raises(InternalConsistencyError, match=r"f\(y\) - f\(x\)"):
         build_lipschitz_program(c6, 0, 1).solve()
 
@@ -402,3 +416,27 @@ def test_isomorphism_invariance():
         original = sorted(kappa_lly(g, u, v) for u, v in g.edges())
         image = sorted(kappa_lly(g2, mapping[u], mapping[v]) for u, v in g.edges())
         assert original == image
+
+
+def test_networkx_planar_embeddings_trace_to_spheres():
+    # Independent embedding oracle: any planar embedding networkx finds must
+    # trace to a sphere whose phi totals exactly 2.
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(3571)
+    for _ in range(25):
+        n = rng.randint(2, 14)
+        h = nx.Graph((rng.randrange(i), i) for i in range(1, n))
+        for _ in range(3 * n):
+            u, v = rng.sample(range(n), 2)
+            if not h.has_edge(u, v):
+                h.add_edge(u, v)
+                if not nx.check_planarity(h)[0]:
+                    h.remove_edge(u, v)
+        planar, embedding = nx.check_planarity(h)
+        assert planar
+        g = Graph(h.edges())
+        rot = RotationSystem(g, {v: list(embedding.neighbors_cw_order(v)) for v in g.vertices})
+        faces = trace_faces(g, rot)
+        assert validate_embedding(g, faces).euler_characteristic == 2
+        assert sum(combinatorial_curvatures(g, faces).values()) == 2
+        assert curvature_report(g, rot, mode="comb").sphere is True

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from riccikit import families
+from riccikit.curvature import build_lipschitz_program
 from riccikit.graphs import Graph, bfs_distances
 from riccikit.transport import (
     DualPotential,
@@ -329,3 +330,61 @@ def test_transport_arcs_close_to_the_metric(monkeypatch):
         assert verify_duality(result.plan, result.potential, g)
         checked += 1
     assert checked >= 15
+
+
+def test_flow_engine_keeps_optimal_potentials(monkeypatch):
+    # Callers hand `solve` potentials that price every residual arc at >= 0;
+    # it must keep that and end with complementary slackness: an arc that
+    # carries flow below its capacity has reduced cost 0 (a saturated one,
+    # such as a source or sink arc, may end below 0).
+    solve = _MinCostFlow.solve
+    solves = []
+
+    def checked(self, s, t, amount, potential):
+        def reduced(a):
+            return self.cost[a] + potential[self.to[a ^ 1]] - potential[self.to[a]]
+
+        arcs = range(len(self.to))
+        assert all(reduced(a) >= 0 for a in arcs if self.cap[a] > 0)
+        total = solve(self, s, t, amount, potential)
+        assert all(reduced(a) >= 0 for a in arcs if self.cap[a] > 0)
+        carrying = [a for a in range(0, len(self.to), 2) if self.cap[a ^ 1] > 0]
+        for a in carrying:
+            assert reduced(a) == 0 if self.cap[a] > 0 else reduced(a) <= 0
+        assert total == sum(self.cap[a ^ 1] * self.cost[a] for a in carrying)
+        solves.append(amount)
+        return total
+
+    monkeypatch.setattr(_MinCostFlow, "solve", checked)
+    rng = random.Random(6151)
+    far = 0
+    for _ in range(25):
+        g = random_connected_graph(rng, n_max=12, max_degree=5)
+        verts = list(g.vertices)
+        if len(verts) < 3:
+            continue
+        pairs = [rng.choice(g.edges())] + [tuple(rng.sample(verts, 2)) for _ in range(2)]
+        for x, y in pairs:
+            far += not g.has_edge(x, y)
+            build_lipschitz_program(g, x, y).solve()
+            for alpha in (Fraction(0), Fraction(1, 3)):
+                m1, m2 = lazy_measure(g, x, alpha), lazy_measure(g, y, alpha)
+                assert optimal_transport(g, m1, m2).distance == oracle_wasserstein(g, m1, m2)
+    assert far >= 20
+    assert sum(amount > 0 for amount in solves) >= 150
+
+
+def test_a_phase_that_pushes_nothing_is_an_internal_fault(monkeypatch, k3):
+    # Valid potentials leave the Dijkstra path admissible, so every phase
+    # pushes flow; if one does not, solve must raise rather than loop.
+    calls = []
+
+    def stuck(self, s, t, potential, limit):
+        calls.append(limit)
+        assert len(calls) < 10, "solve kept looping"
+        return 0
+
+    monkeypatch.setattr(_MinCostFlow, "_admissible_flow", stuck)
+    with pytest.raises(InternalConsistencyError, match="no admissible path"):
+        optimal_transport(k3, lazy_measure(k3, 0, half), lazy_measure(k3, 1, half))
+    assert len(calls) == 1
