@@ -4,6 +4,11 @@ Each check returns pass/fail/skip with a diagnostic. Checks verify
 implications, so they pass vacuously when their hypotheses fail (a cycle is
 not positively curved, hence the positivity floor has nothing to say).
 Sampling is driven entirely by the caller's seed.
+
+The transport checks (duality, integrality, concavity, slope-monotonicity)
+sample the same edges on small graphs, so one `run_checks` call solves each
+lazy-walk transport problem (x, y, alpha) once and hands the result to every
+check that asks for it. Each check still runs its own test on each result.
 """
 
 from __future__ import annotations
@@ -16,15 +21,16 @@ from typing import Optional, Sequence
 
 from .curvature import (
     CurvatureReport,
+    _kappa_alpha,
+    _kappa_lly_slope,
+    _lazy_transport,
     combinatorial_curvatures,
     curvature_report,
-    kappa_alpha,
     kappa_lly,
-    kappa_lly_slope,
 )
 from .graphs import Graph, RotationSystem, trace_faces, validate_embedding
 from .structure import degree_audit, instance_to_json_dict, lemma4_sweep
-from .transport import InternalConsistencyError, lazy_measure, optimal_transport, verify_duality
+from .transport import InternalConsistencyError, TransportResult, verify_duality
 
 ALL_CHECKS = (
     "positivity",
@@ -54,6 +60,19 @@ class CheckResult:
     @property
     def failed(self) -> bool:
         return self.status == "fail"
+
+
+class _TransportMemo:
+    """`_lazy_transport` solved once per (x, y, alpha), on one graph."""
+
+    def __init__(self):
+        self._results: dict[tuple[int, int, Fraction], TransportResult] = {}
+
+    def __call__(self, g: Graph, x: int, y: int, alpha: Fraction) -> TransportResult:
+        key = (x, y, alpha)
+        if key not in self._results:
+            self._results[key] = _lazy_transport(g, x, y, alpha)
+        return self._results[key]
 
 
 def _sample_edges(g: Graph, rng: random.Random) -> list[tuple[int, int]]:
@@ -87,11 +106,11 @@ def _check_positivity(g: Graph, report: CurvatureReport, **_) -> CheckResult:
     )
 
 
-def _check_duality(g: Graph, rng: random.Random, **_) -> CheckResult:
+def _check_duality(g: Graph, rng: random.Random, transport, **_) -> CheckResult:
     count = 0
     for x, y in _sample_edges(g, rng):
         for alpha in _ALPHAS:
-            result = optimal_transport(g, lazy_measure(g, x, alpha), lazy_measure(g, y, alpha))
+            result = transport(g, x, y, alpha)
             check = verify_duality(result.plan, result.potential, g)
             if not check:
                 return CheckResult(
@@ -103,11 +122,11 @@ def _check_duality(g: Graph, rng: random.Random, **_) -> CheckResult:
     return CheckResult("duality", "pass", f"{count} primal/dual pairs agree exactly")
 
 
-def _check_integrality(g: Graph, rng: random.Random, **_) -> CheckResult:
+def _check_integrality(g: Graph, rng: random.Random, transport, **_) -> CheckResult:
     count = 0
     for x, y in _sample_edges(g, rng):
         for alpha in _ALPHAS:
-            result = optimal_transport(g, lazy_measure(g, x, alpha), lazy_measure(g, y, alpha))
+            result = transport(g, x, y, alpha)
             bad = [v for v, f in result.potential.items() if not isinstance(f, int)]
             if bad:
                 return CheckResult(
@@ -119,10 +138,10 @@ def _check_integrality(g: Graph, rng: random.Random, **_) -> CheckResult:
     return CheckResult("integrality", "pass", f"{count} potentials integer-valued")
 
 
-def _check_concavity(g: Graph, rng: random.Random, **_) -> CheckResult:
+def _check_concavity(g: Graph, rng: random.Random, transport, **_) -> CheckResult:
     for x, y in _sample_edges(g, rng):
         d = 1
-        values = [kappa_alpha(g, x, y, a) for a in _GRID]
+        values = [_kappa_alpha(g, x, y, a, transport) for a in _GRID]
         for i in range(len(_GRID) - 2):
             if values[i] - 2 * values[i + 1] + values[i + 2] > 0:
                 return CheckResult(
@@ -140,11 +159,13 @@ def _check_concavity(g: Graph, rng: random.Random, **_) -> CheckResult:
     return CheckResult("concavity", "pass", "midpoint concavity and upper bound hold")
 
 
-def _check_slope_monotonicity(g: Graph, report: CurvatureReport, rng: random.Random, **_) -> CheckResult:
+def _check_slope_monotonicity(
+    g: Graph, report: CurvatureReport, rng: random.Random, transport, **_
+) -> CheckResult:
     kappa_by_edge = {(rec.u, rec.v): rec.kappa for rec in report.edges}
     for x, y in _sample_edges(g, rng):
         limit = kappa_by_edge[(x, y)]
-        slopes = [kappa_alpha(g, x, y, a) / (1 - a) for a in _GRID if a != 1]
+        slopes = [_kappa_alpha(g, x, y, a, transport) / (1 - a) for a in _GRID if a != 1]
         for s1, s2 in zip(slopes, slopes[1:]):
             if s1 > s2:
                 return CheckResult(
@@ -156,7 +177,7 @@ def _check_slope_monotonicity(g: Graph, report: CurvatureReport, rng: random.Ran
                 "slope-monotonicity", "fail",
                 f"edge ({x}, {y}): slope exceeds the limit value {limit}",
             )
-        if kappa_lly_slope(g, x, y) != limit:
+        if _kappa_lly_slope(g, x, y, transport) != limit:
             return CheckResult(
                 "slope-monotonicity", "fail",
                 f"edge ({x}, {y}): transport slope engine disagrees with the LP value",
@@ -273,6 +294,7 @@ def run_checks(
     if unknown:
         raise ValueError(f"unknown check {unknown[0]!r}")
     report = curvature_report(g, rot=rot, mode="lly")
+    transport = _TransportMemo()
     results = []
     for name in ALL_CHECKS:
         if name not in selected:
@@ -280,7 +302,7 @@ def run_checks(
         rng = random.Random(f"{seed}:{name}")  # str seeding is process stable
         results.append(
             _CHECK_FUNCS[name](
-                g=g, rot=rot, report=report, rng=rng, seed=seed
+                g=g, rot=rot, report=report, rng=rng, seed=seed, transport=transport
             )
         )
     return results

@@ -40,7 +40,14 @@ from .graphs import (
     trace_faces,
     validate_embedding,
 )
-from .transport import InternalConsistencyError, _frac, lazy_measure, wasserstein
+from .transport import (
+    InternalConsistencyError,
+    TransportResult,
+    _frac,
+    lazy_measure,
+    optimal_transport,
+    wasserstein,
+)
 from .transport import _domain_metric, _lipschitz_violation, _metric_network
 
 
@@ -120,14 +127,35 @@ def kappa_lly(g: Graph, x: int, y: int) -> Fraction:
     return value
 
 
-def kappa_alpha(g: Graph, x: int, y: int, alpha) -> Fraction:
-    """Lazy-walk curvature 1 - W(m_x^a, m_y^a) / d(x, y)."""
+def _lazy_transport(g: Graph, x: int, y: int, alpha: Fraction) -> TransportResult:
+    """Exact transport between the alpha-lazy walk measures at x and y."""
+    return optimal_transport(g, lazy_measure(g, x, alpha), lazy_measure(g, y, alpha))
+
+
+def _kappa_alpha(g: Graph, x: int, y: int, alpha, transport) -> Fraction:
+    """1 - W / d(x, y), with W from `transport(g, x, y, alpha)`.
+
+    `transport` is `_lazy_transport` or a memo of it, such as the one
+    `checks.run_checks` keeps for one call.
+    """
     if x == y:
         raise ValueError("curvature requires two distinct vertices")
     alpha = _frac(alpha)
     d = bfs_distances(g, x)[y]
-    w, _ = wasserstein(g, lazy_measure(g, x, alpha), lazy_measure(g, y, alpha))
-    return 1 - w / d
+    return 1 - transport(g, x, y, alpha).distance / d
+
+
+def _kappa_lly_slope(g: Graph, x: int, y: int, transport) -> Fraction:
+    """kappa_alpha / (1 - alpha) at alpha = L / (L + 1); see kappa_lly_slope."""
+    _require_edge(g, x, y)
+    big = lcm(g.degree(x), g.degree(y))
+    alpha = Fraction(big, big + 1)
+    return _kappa_alpha(g, x, y, alpha, transport) / (1 - alpha)
+
+
+def kappa_alpha(g: Graph, x: int, y: int, alpha) -> Fraction:
+    """Lazy-walk curvature 1 - W(m_x^a, m_y^a) / d(x, y)."""
+    return _kappa_alpha(g, x, y, alpha, _lazy_transport)
 
 
 def _require_edge(g: Graph, x: int, y: int) -> None:
@@ -142,10 +170,7 @@ def kappa_lly_slope(g: Graph, x: int, y: int) -> Fraction:
     the final linear piece of alpha -> kappa_alpha, where the slope equals the
     limit-free value. Tests assert exact agreement with kappa_lly.
     """
-    _require_edge(g, x, y)
-    big = lcm(g.degree(x), g.degree(y))
-    alpha = Fraction(big, big + 1)
-    return kappa_alpha(g, x, y, alpha) / (1 - alpha)
+    return _kappa_lly_slope(g, x, y, _lazy_transport)
 
 
 def kappa_zero(g: Graph, x: int, y: int) -> Fraction:
@@ -169,8 +194,11 @@ def combinatorial_curvatures(g: Graph, faces: Sequence[Face]) -> dict[int, Fract
         )
     phi = {v: Fraction(1) - Fraction(g.degree(v), 2) for v in g.vertices}
     for face in faces:
-        share = Fraction(1, face.size)
-        for u in face.vertex_cycle():
+        # The one face of the one-vertex sphere has an empty walk; it meets
+        # the vertex once, so phi = 2 there.
+        cycle = face.vertex_cycle() or g.vertices
+        share = Fraction(1, len(cycle))
+        for u in cycle:
             phi[u] += share
     return phi
 

@@ -250,8 +250,11 @@ def trace_faces(g: Graph, rot: RotationSystem) -> tuple[Face, ...]:
     """Partition all directed edges into face walks.
 
     Successor of directed edge (u, v) is (v, w) with w the neighbor following
-    u in the clockwise order at v.
+    u in the clockwise order at v. The one-vertex graph has one face, with
+    an empty walk, so it is a sphere.
     """
+    if not g.edge_count:
+        return (Face(()),)
     used: set[tuple[int, int]] = set()
     faces = []
     for start in g.directed_edges():

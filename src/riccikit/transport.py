@@ -99,7 +99,7 @@ class TransportPlan:
     target: Measure
 
     def cost(self, g: Graph) -> Fraction:
-        dist = {u: bfs_distances(g, u) for u, _ in self.entries}
+        dist = {u: bfs_distances(g, u) for u in {u for u, _ in self.entries}}
         return sum((mass * dist[u][v] for (u, v), mass in self.entries.items()), Fraction(0))
 
     def row_sums(self) -> dict[int, Fraction]:
@@ -363,7 +363,8 @@ def optimal_transport(
     for v, m in m2.items():
         supply[v] -= m.numerator * (scale // m.denominator)
     n = len(domain)
-    net, amount = _metric_network(domain, _domain_metric(g, domain), supply)
+    dist = _domain_metric(g, domain)
+    net, amount = _metric_network(domain, dist, supply)
     p = [0] * (n + 2)  # every arc cost is >= 0
     distance = Fraction(net.solve(n, n + 1, amount, p), scale)
     anchor = min(m1.support())
@@ -395,14 +396,15 @@ def optimal_transport(
             entries[key] = entries.get(key, 0) + Fraction(delta, scale)
     plan = TransportPlan(entries, m1, m2)
 
-    _self_check(g, m1, m2, distance, plan, potential)
+    _self_check(dist, m1, m2, distance, plan, potential)
     return TransportResult(distance, plan, potential)
 
 
-def _self_check(g, m1, m2, distance, plan, potential) -> None:
-    check = verify_duality(plan, potential, g)
-    if not check:
-        raise InternalConsistencyError("; ".join(check.violations))
+def _self_check(dist, m1, m2, distance, plan, potential) -> None:
+    """Certify a solve against `dist`, the metric its network was built on."""
+    violations = _duality_violations(plan, potential, dist)
+    if violations:
+        raise InternalConsistencyError("; ".join(violations))
     if potential.pairing(m1, m2) != distance:
         raise InternalConsistencyError("dual value disagrees with the reported distance")
 
@@ -435,6 +437,19 @@ class DualityCheck:
 
 def verify_duality(plan: TransportPlan, potential: DualPotential, g: Graph) -> DualityCheck:
     """True iff plan and potential are feasible and their values agree exactly."""
+    vertices = set(potential.values).union(*plan.entries)
+    problems = _duality_violations(plan, potential, _domain_metric(g, sorted(vertices)))
+    return DualityCheck(not problems, tuple(problems))
+
+
+def _duality_violations(
+    plan: TransportPlan, potential: DualPotential, dist: Mapping[tuple[int, int], int]
+) -> list[str]:
+    """Every way plan and potential fail to certify each other under `dist`.
+
+    `dist` must hold d(u, v) for every pair of the potential's domain and for
+    every plan entry.
+    """
     problems = []
     m1, m2 = plan.source, plan.target
     for (u, v), mass in plan.entries.items():
@@ -444,25 +459,24 @@ def verify_duality(plan: TransportPlan, potential: DualPotential, g: Graph) -> D
         problems.append("plan row sums do not equal the source measure")
     if plan.column_sums() != dict(m2.items()):
         problems.append("plan column sums do not equal the target measure")
-    domain = set(potential.values)
-    needed = set(m1.support()) | set(m2.support())
-    missing = needed - domain
+    domain = sorted(potential.values)
+    missing = (set(m1.support()) | set(m2.support())) - set(domain)
     if missing:
         problems.append(f"potential undefined on support vertices {sorted(missing)}")
     else:
         odd = next((v for v, f in potential.items() if not isinstance(f, int)), None)
         if odd is not None:
             problems.append(f"potential value at {odd} is not an integer")
-        dist = _domain_metric(g, sorted(domain))
-        bad = _lipschitz_violation(potential.values, dist)
+        pairs = {(u, v): dist[u, v] for u in domain for v in domain}
+        bad = _lipschitz_violation(potential.values, pairs)
         if bad is not None:
             u, v = bad
             problems.append(
                 f"potential violates 1-Lipschitz on ({u}, {v}): "
                 f"{potential[v]} - {potential[u]} > {dist[bad]}"
             )
-        primal = plan.cost(g)
+        primal = sum((mass * dist[u, v] for (u, v), mass in plan.entries.items()), Fraction(0))
         dual = potential.pairing(m1, m2)
         if primal != dual:
             problems.append(f"duality gap: primal cost {primal} != dual value {dual}")
-    return DualityCheck(not problems, tuple(problems))
+    return problems

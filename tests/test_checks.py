@@ -1,9 +1,17 @@
+import random
+import sys
+from fractions import Fraction
+from math import lcm
+
 import pytest
 
+import riccikit.transport
 from riccikit import families
 from riccikit.checks import ALL_CHECKS, run_checks
+from riccikit.cli import main
+from riccikit.graphs import to_rotation_text
 
-from oracles import star_with_pendants
+from oracles import random_connected_graph, star_with_pendants
 
 
 def _by_name(results):
@@ -57,3 +65,45 @@ def test_checks_are_seed_deterministic(k3):
     a = run_checks(k3, seed=42)
     b = run_checks(k3, seed=42)
     assert a == b
+
+
+def _count_calls(monkeypatch, original) -> list:
+    """Wrap `original` wherever a riccikit module binds it; returns the call log."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("riccikit"):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_verify_solves_each_transport_problem_once(tmp_path, capsys, monkeypatch):
+    # prism(3) has 9 <= 12 edges, so all four transport checks use every edge:
+    # duality and integrality at 0, 1/3, 1/2, concavity and slope-monotonicity
+    # on the tenths grid, and the slope engine at L / (L + 1).
+    g, rot = families.prism(3)
+    path = tmp_path / "prism3.rot"
+    path.write_text(to_rotation_text(rot))
+    expected = 0
+    for x, y in g.edges():
+        big = lcm(g.degree(x), g.degree(y))
+        alphas = {Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(big, big + 1)}
+        expected += len(alphas | {Fraction(i, 10) for i in range(11)})
+    calls = _count_calls(monkeypatch, riccikit.transport.optimal_transport)
+    assert main(["verify", "--input", str(path), "--seed", "5"]) == 0
+    assert "PASS slope-monotonicity" in capsys.readouterr().out
+    assert len(calls) == expected == 9 * 13
+
+
+def test_shared_transport_solves_change_no_result():
+    rng = random.Random(8)
+    for seed in range(20):
+        g = random_connected_graph(rng, n_max=7)
+        singles = [r for name in ALL_CHECKS for r in run_checks(g, checks=[name], seed=seed)]
+        assert run_checks(g, seed=seed) == singles

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from riccikit.checks import ALL_CHECKS
 from riccikit.cli import main
 from riccikit import families
 from riccikit.graphs import to_edgelist_text, to_rotation_text
@@ -174,6 +175,44 @@ def test_internal_fault_exit3_without_traceback(tmp_path, capsys, monkeypatch):
         assert out == ""
         assert err.startswith("internal error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+def test_transport_fault_through_shared_solves_exit3(tmp_path, capsys, monkeypatch):
+    # Only transport solves start from zero potentials (the curvature program
+    # starts from d(x, .)); zeroing their final potentials breaks the zero
+    # duality gap, so each transport check, and the full run, must exit 3.
+    solve = _MinCostFlow.solve
+
+    def solve_then_zero_transport_potentials(self, s, t, amount, potential):
+        transport = not any(potential)
+        total = solve(self, s, t, amount, potential)
+        if transport:
+            potential[:] = [0] * len(potential)
+        return total
+
+    monkeypatch.setattr(_MinCostFlow, "solve", solve_then_zero_transport_potentials)
+    g, _ = families.cycle(6)
+    path = tmp_path / "c6.edges"
+    path.write_text(to_edgelist_text(g))
+    for checks in ("duality", "integrality", "concavity", "slope-monotonicity", ",".join(ALL_CHECKS)):
+        code, out, err = run_cli(capsys, "verify", "--input", str(path), "--checks", checks)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("internal error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
+def test_one_vertex_rotation_is_a_sphere(tmp_path, capsys):
+    path = tmp_path / "k1.rot"
+    path.write_text("0:\n")
+    code, out, err = run_cli(capsys, "curvature", "--input", str(path), "--mode", "comb")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["embedding"] == {"euler_characteristic": 2, "sphere": True}
+    assert payload["vertices"] == [{"v": 0, "phi": "2"}]
+    code, out, _ = run_cli(capsys, "verify", "--input", str(path), "--checks", "gauss-bonnet")
+    assert code == 0
+    assert out == "PASS gauss-bonnet: sum of phi equals 2 exactly\n"
 
 
 def test_verify_triangle_exit0(tmp_path, capsys):

@@ -7,6 +7,7 @@ formats use, or edge lines over a few vertex ids, so that small valid graphs
 
 import contextlib
 import io
+import os
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -67,3 +68,26 @@ def test_cli_verify_on_arbitrary_files(data, tmp_path):
     code, err = _run(["verify", "--input", str(path)])
     assert code in (0, 1, 2)
     assert (code == 2) == err.startswith("error: ")
+
+
+_TRIANGLE = b"0 1\n1 2\n2 0\n"
+_NAMES = st.text(alphabet="ab._", min_size=1, max_size=4).filter(lambda n: n not in (".", ".."))
+_RELATIVE_OUT = st.tuples(
+    st.lists(_NAMES, min_size=1, max_size=3), st.sampled_from(["", ".csv", ".json"])
+).map(lambda parts: os.path.join(*parts[0]) + parts[1])
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.just(_TRIANGLE) | _FILES, out=_RELATIVE_OUT)
+def test_cli_curvature_out_on_arbitrary_paths(data, out, tmp_path, monkeypatch):
+    # Relative paths resolve under tmp_path; names may repeat across examples,
+    # so a path can run into an existing file or directory.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "input").write_bytes(data)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(["curvature", "--input", "input", "--jobs", "1", "--out", out])
+    assert code in (0, 2)
+    assert (code == 2) == stderr.getvalue().startswith("error: ")
+    assert "Traceback" not in stdout.getvalue() + stderr.getvalue()

@@ -168,6 +168,13 @@ def test_face_incidences():
     assert sorted(face.vertex_cycle()) == [0, 1, 2]
 
 
+def test_one_vertex_graph_has_one_empty_face():
+    g, rot = parse_rotation("0:\n")
+    faces = trace_faces(g, rot)
+    assert [f.walk for f in faces] == [()]
+    assert validate_embedding(g, faces).euler_characteristic == 2
+
+
 def test_distance_is_a_metric_on_random_graphs():
     rng = random.Random(1729)
     for _ in range(12):

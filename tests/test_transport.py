@@ -13,6 +13,8 @@ from riccikit.transport import (
     TransportError,
     _MinCostFlow,
     TransportPlan,
+    _domain_metric,
+    _duality_violations,
     kantorovich_potential,
     lazy_measure,
     optimal_transport,
@@ -135,12 +137,13 @@ def test_self_check_rejects_a_wrong_distance_or_potential(k3):
     m1 = lazy_measure(k3, 0, 0)
     m2 = lazy_measure(k3, 1, 0)
     result = optimal_transport(k3, m1, m2)
-    _self_check(k3, m1, m2, result.distance, result.plan, result.potential)
+    dist = {(u, v): int(u != v) for u in k3.vertices for v in k3.vertices}  # K3's metric
+    _self_check(dist, m1, m2, result.distance, result.plan, result.potential)
     with pytest.raises(InternalConsistencyError, match="reported distance"):
-        _self_check(k3, m1, m2, result.distance + 1, result.plan, result.potential)
+        _self_check(dist, m1, m2, result.distance + 1, result.plan, result.potential)
     zero_pot = DualPotential({v: 0 for v in k3.vertices}, anchor=0)
     with pytest.raises(InternalConsistencyError, match="duality gap"):
-        _self_check(k3, m1, m2, result.distance, result.plan, zero_pot)
+        _self_check(dist, m1, m2, result.distance, result.plan, zero_pot)
 
 
 def test_verify_duality_flags_bad_marginals(k3):
@@ -388,3 +391,52 @@ def test_a_phase_that_pushes_nothing_is_an_internal_fault(monkeypatch, k3):
     with pytest.raises(InternalConsistencyError, match="no admissible path"):
         optimal_transport(k3, lazy_measure(k3, 0, half), lazy_measure(k3, 1, half))
     assert len(calls) == 1
+
+
+def test_plan_cost_runs_one_bfs_per_source(c6, monkeypatch):
+    import riccikit.transport as transport
+
+    sources = []
+
+    def counted(g, u):
+        sources.append(u)
+        return bfs_distances(g, u)
+
+    monkeypatch.setattr(transport, "bfs_distances", counted)
+    quarter = Fraction(1, 4)
+    m1 = Measure({0: half, 1: half})
+    m2 = Measure({2: quarter, 3: quarter, 4: quarter, 5: quarter})
+    plan = TransportPlan({(0, 4): quarter, (0, 5): quarter, (1, 2): quarter, (1, 3): quarter},
+                         m1, m2)
+    assert plan.cost(c6) == Fraction(3, 2)  # 2/4 + 1/4 + 1/4 + 2/4
+    assert sorted(sources) == [0, 1]
+
+
+def test_duality_core_flags_a_corrupted_metric_or_plan():
+    rng = random.Random(11)
+    checked = 0
+    while checked < 10:
+        g = random_connected_graph(rng, n_max=9)
+        x, y = rng.sample(g.vertices, 2)
+        m1 = lazy_measure(g, x, Fraction(1, 3))
+        m2 = lazy_measure(g, y, Fraction(1, 3))
+        result = optimal_transport(g, m1, m2)
+        if not result.distance:  # m1 = m2 (e.g. on a triangle): nothing moves
+            continue
+        plan, pot = result.plan, result.potential
+        dist = _domain_metric(g, sorted(pot.values))
+        assert _duality_violations(plan, pot, dist) == []
+        moved = [(u, v) for (u, v) in plan.entries if u != v]
+        tight = [(u, v) for (u, v), d in dist.items() if d and pot[v] - pot[u] == d]
+        for (u, v), problem in [(moved[0], "duality gap"), (tight[0], "1-Lipschitz")]:
+            step = 1 if problem == "duality gap" else -1
+            corrupt = dict(dist)
+            corrupt[u, v] += step
+            assert any(problem in p for p in _duality_violations(plan, pot, corrupt))
+        key = next(iter(plan.entries))
+        for mass, problem in [(plan.entries[key] / 2, "sums"), (-plan.entries[key], "negative")]:
+            bad_plan = TransportPlan({**plan.entries, key: mass}, m1, m2)
+            violations = _duality_violations(bad_plan, pot, dist)
+            assert any(problem in p for p in violations)
+            assert verify_duality(bad_plan, pot, g).violations == tuple(violations)
+        checked += 1
