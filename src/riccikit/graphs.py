@@ -53,18 +53,10 @@ class Graph:
         self._check_connected()
 
     def _check_connected(self) -> None:
-        start = self._vertices[0]
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in self._adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
+        seen = bfs_distances(self, self._vertices[0]).dist
         if len(seen) != len(self._vertices):
-            missing = sorted(set(self._vertices) - seen)
-            raise GraphError(f"graph is disconnected (e.g. vertex {missing[0]} unreachable)")
+            missing = next(v for v in self._vertices if v not in seen)
+            raise GraphError(f"graph is disconnected (e.g. vertex {missing} unreachable)")
 
     @property
     def vertices(self) -> tuple[int, ...]:

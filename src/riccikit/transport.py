@@ -5,13 +5,13 @@ Rubinstein duality W1(m1, m2) is the min-cost transshipment of m1 - m2
 over the graph metric on D = supp m1 union supp m2, scaled to integers. It
 is solved on `_metric_network`, which the Lipschitz curvature program
 shares, by a primal-dual min-cost flow that starts from zero potentials and
-keeps them optimal. The negated final potentials are an integer Kantorovich
-potential; a path decomposition of the flow is an optimal coupling.
+alternates blocking flows with potential raises across their cuts. The
+negated final potentials are an integer Kantorovich potential; a path
+decomposition of the flow is an optimal coupling.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -26,9 +26,6 @@ class TransportError(ValueError):
 
 class InternalConsistencyError(RuntimeError):
     """An exactness self-check failed; indicates a solver bug."""
-
-
-_INF = float("inf")
 
 
 def _frac(value) -> Fraction:
@@ -146,18 +143,19 @@ class TransportResult:
 class _MinCostFlow:
     """Primal-dual min-cost flow over reduced costs (all integer).
 
-    Each phase runs one Dijkstra, raises the node potentials by the capped
-    distances, and then pushes a maximum flow over the admissible arcs (the
-    residual arcs of reduced cost 0) before the next Dijkstra (Ahuja,
-    Magnanti & Orlin, Network Flows, 1993, section 9.8). Every admissible
-    s-t path costs potential[t] - potential[s], so a phase changes the
-    total cost by its flow times that difference. The arc costs used here
-    are small distances, so a solve needs only a few phases.
+    Its one graph search is a Dinic blocking flow over the admissible arcs,
+    the residual arcs of reduced cost 0. While t is out of reach, every node
+    the last BFS missed rises by the least reduced cost of a residual arc
+    leaving the reached set (Ahuja, Magnanti & Orlin, Network Flows, 1993,
+    section 9.8); that arc turns admissible, so the set grows. Between two
+    pushes each node rises by min(dist(v), dist(t)), the capped Dijkstra
+    update. Every admissible s-t path costs potential[t] - potential[s], so
+    a push changes the total cost by its flow times that difference. The
+    arc costs used here are small distances, so a solve needs few raises.
 
     The caller supplies potentials that price every arc at a nonnegative
-    reduced cost. The capped update keeps that, since each new residual arc
-    reverses an admissible one, so they end optimal: no other
-    shortest-path algorithm runs.
+    reduced cost. A raise keeps that, and each new residual arc reverses an
+    admissible one, so they end optimal.
     """
 
     def __init__(self, n: int):
@@ -183,55 +181,40 @@ class _MinCostFlow:
         """Push `amount` units s -> t at minimum total cost.
 
         `potential` must give every residual arc a nonnegative reduced
-        cost, cost + potential[u] - potential[v]. It is updated in place;
-        at the end every arc that carries flow below its capacity also has
-        reduced cost 0, so it holds optimal duals.
-        """
-        total = 0
-        sent = 0
-        while sent < amount:
-            dist = self._shortest_paths(s, t, potential)
-            dt = dist[t]
-            if dt == _INF:
-                raise InternalConsistencyError("transport network is infeasible")
-            for v in range(self.n):
-                potential[v] += dist[v] if dist[v] < dt else dt
-            delta = self._admissible_flow(s, t, potential, amount - sent)
-            if not delta:
-                raise InternalConsistencyError("no admissible path after a potential update")
-            sent += delta
-            total += delta * (potential[t] - potential[s])
-        return total
-
-    def _shortest_paths(self, s: int, t: int, potential: list[int]) -> list:
-        """Dijkstra distances from s over reduced costs.
-
-        Stops once t is settled. A node settled before t has its exact
-        distance; any other has a label of at least dist[t], which the capped
-        potential update in `solve` treats as dist[t] either way.
+        cost, cost + potential[u] - potential[v]. It is raised in place
+        across each blocking-flow cut; at the end every arc that carries
+        flow below its capacity also has reduced cost 0, so it holds
+        optimal duals.
         """
         adj, to, cap, cost = self.adj, self.to, self.cap, self.cost
-        dist: list = [_INF] * self.n
-        dist[s] = 0
-        heap = [(0, s)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > dist[u]:
-                continue
-            if u == t:
+        total = sent = 0
+        while sent < amount:
+            delta, level = self._admissible_flow(s, t, potential, amount - sent)
+            sent += delta
+            total += delta * (potential[t] - potential[s])
+            if sent == amount:
                 break
-            for arc in adj[u]:
-                if cap[arc] <= 0:
-                    continue
-                v = to[arc]
-                nd = d + cost[arc] + potential[u] - potential[v]
-                if nd < dist[v]:
-                    dist[v] = nd
-                    heapq.heappush(heap, (nd, v))
-        return dist
+            step = min((cost[arc] + potential[u] - potential[to[arc]]
+                        for u in range(self.n) if level[u] >= 0
+                        for arc in adj[u] if cap[arc] > 0 and level[to[arc]] < 0),
+                       default=None)
+            if step is None:
+                raise InternalConsistencyError("transport network is infeasible")
+            if step <= 0:
+                raise InternalConsistencyError(f"an arc leaves the cut at reduced cost {step}")
+            for v in range(self.n):
+                if level[v] < 0:
+                    potential[v] += step
+        return total
 
-    def _admissible_flow(self, s: int, t: int, potential: list[int], limit: int) -> int:
-        """Push up to `limit` units s -> t over admissible arcs; return the amount.
+    def _admissible_flow(
+        self, s: int, t: int, potential: list[int], limit: int
+    ) -> tuple[int, list[int]]:
+        """Push up to `limit` units s -> t over admissible arcs.
+
+        `limit` must be positive. Returns the amount and the levels of the
+        last BFS: when t is out of reach, level[v] >= 0 exactly for the
+        nodes that admissible arcs reach from s.
 
         Dinic's method: BFS levels over the admissible arcs, then a DFS that
         follows only arcs one level up, with a current-arc pointer per node
@@ -289,7 +272,7 @@ class _MinCostFlow:
                 else:
                     u = to[path.pop() ^ 1]
                     current[u] += 1
-        return pushed
+        return pushed, level
 
 
 def _domain_metric(g: Graph, domain: Sequence[int]) -> dict[tuple[int, int], int]:
@@ -341,22 +324,17 @@ def _metric_network(
     return net, amount
 
 
-def optimal_transport(
-    g: Graph, m1: Measure, m2: Measure, scale_multiplier: int = 1
-) -> TransportResult:
+def optimal_transport(g: Graph, m1: Measure, m2: Measure) -> TransportResult:
     """Exact Wasserstein distance, an optimal coupling, and an integer potential.
 
-    Masses are scaled to integers by the lcm of their denominators, times the
-    optional multiplier, which must not change the result.
+    Masses are scaled to integers by the lcm of their denominators.
     """
-    if scale_multiplier < 1:
-        raise TransportError("scale_multiplier must be a positive integer")
     domain = sorted(set(m1.support()) | set(m2.support()))
     foreign = [v for v in domain if v not in g]
     if foreign:
         raise TransportError(f"a measure puts mass on vertex {foreign[0]} not in the graph")
     scale = lcm(*(m.denominator for _, m in m1.items()),
-                *(m.denominator for _, m in m2.items())) * scale_multiplier
+                *(m.denominator for _, m in m2.items()))
     supply = dict.fromkeys(domain, 0)
     for v, m in m1.items():
         supply[v] += m.numerator * (scale // m.denominator)
@@ -401,12 +379,10 @@ def optimal_transport(
 
 
 def _self_check(dist, m1, m2, distance, plan, potential) -> None:
-    """Certify a solve against `dist`, the metric its network was built on."""
-    violations = _duality_violations(plan, potential, dist)
+    """Certify a solve of m1 -> m2 against `dist`, the metric its network was built on."""
+    violations = _duality_violations(plan, potential, dist, distance)
     if violations:
         raise InternalConsistencyError("; ".join(violations))
-    if potential.pairing(m1, m2) != distance:
-        raise InternalConsistencyError("dual value disagrees with the reported distance")
 
 
 def wasserstein(g: Graph, m1: Measure, m2: Measure) -> tuple[Fraction, TransportPlan]:
@@ -443,12 +419,15 @@ def verify_duality(plan: TransportPlan, potential: DualPotential, g: Graph) -> D
 
 
 def _duality_violations(
-    plan: TransportPlan, potential: DualPotential, dist: Mapping[tuple[int, int], int]
+    plan: TransportPlan,
+    potential: DualPotential,
+    dist: Mapping[tuple[int, int], int],
+    distance: Fraction | None = None,
 ) -> list[str]:
     """Every way plan and potential fail to certify each other under `dist`.
 
     `dist` must hold d(u, v) for every pair of the potential's domain and for
-    every plan entry.
+    every plan entry. If a `distance` is given, the dual value must equal it.
     """
     problems = []
     m1, m2 = plan.source, plan.target
@@ -479,4 +458,6 @@ def _duality_violations(
         dual = potential.pairing(m1, m2)
         if primal != dual:
             problems.append(f"duality gap: primal cost {primal} != dual value {dual}")
+        if distance is not None and dual != distance:
+            problems.append("dual value disagrees with the reported distance")
     return problems

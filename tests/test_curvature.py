@@ -180,18 +180,19 @@ def test_spanning_arcs_close_to_the_metric(g, monkeypatch):
 
 
 def test_wheel_hub_rim_solve_needs_few_phases(monkeypatch):
-    # Successive shortest paths ran 58 Dijkstras on this edge.
+    # Successive shortest paths ran 58 Dijkstras on this edge. Each raise
+    # lifts p[t] - p[s] by >= 1, from -(d + 1) = -2 to at most 3.
     calls = []
-    shortest_paths = _MinCostFlow._shortest_paths
+    admissible_flow = _MinCostFlow._admissible_flow
 
     def count(self, *args):
         calls.append(1)
-        return shortest_paths(self, *args)
+        return admissible_flow(self, *args)
 
-    monkeypatch.setattr(_MinCostFlow, "_shortest_paths", count)
+    monkeypatch.setattr(_MinCostFlow, "_admissible_flow", count)
     g, _ = families.wheel(60)
     value, _ = build_lipschitz_program(g, 60, 0).solve()
-    assert 1 <= len(calls) <= 4
+    assert 1 <= len(calls) <= 6
     assert value == kappa_lly_slope(g, 60, 0)
 
 

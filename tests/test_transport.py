@@ -168,17 +168,6 @@ def test_verify_duality_flags_non_lipschitz(path3):
     assert any("Lipschitz" in v for v in check.violations)
 
 
-def test_scale_independence(k3, c6):
-    for g, x, y in [(k3, 0, 1), (c6, 0, 2)]:
-        m1 = lazy_measure(g, x, Fraction(1, 3))
-        m2 = lazy_measure(g, y, Fraction(1, 3))
-        base = optimal_transport(g, m1, m2)
-        for extra in (2, 3, 7):
-            again = optimal_transport(g, m1, m2, scale_multiplier=extra)
-            assert again.distance == base.distance
-            assert again.plan.entries == base.plan.entries
-
-
 def test_matches_oracle_on_random_instances():
     rng = random.Random(99)
     alphas = [Fraction(0), Fraction(1, 3), half]
@@ -377,20 +366,69 @@ def test_flow_engine_keeps_optimal_potentials(monkeypatch):
     assert sum(amount > 0 for amount in solves) >= 150
 
 
-def test_a_phase_that_pushes_nothing_is_an_internal_fault(monkeypatch, k3):
-    # Valid potentials leave the Dijkstra path admissible, so every phase
-    # pushes flow; if one does not, solve must raise rather than loop.
+def test_potentials_pricing_an_arc_below_zero_are_an_internal_fault(monkeypatch):
+    # The raise across the cut needs every residual arc at reduced cost >= 0;
+    # broken starting potentials must raise rather than loop.
     calls = []
+    admissible_flow = _MinCostFlow._admissible_flow
 
-    def stuck(self, s, t, potential, limit):
-        calls.append(limit)
+    def count(self, *args):
+        calls.append(1)
         assert len(calls) < 10, "solve kept looping"
-        return 0
+        return admissible_flow(self, *args)
 
-    monkeypatch.setattr(_MinCostFlow, "_admissible_flow", stuck)
-    with pytest.raises(InternalConsistencyError, match="no admissible path"):
-        optimal_transport(k3, lazy_measure(k3, 0, half), lazy_measure(k3, 1, half))
+    monkeypatch.setattr(_MinCostFlow, "_admissible_flow", count)
+    net = _MinCostFlow(3)
+    net.add_edge(0, 1, 1, 1)
+    net.add_edge(1, 2, 1, 1)
+    with pytest.raises(InternalConsistencyError, match="reduced cost -4"):
+        net.solve(0, 2, 1, [0, 5, 0])  # prices 0 -> 1 at 1 + 0 - 5
     assert len(calls) == 1
+
+
+def test_flow_engine_matches_networkx_with_a_negative_arc(monkeypatch):
+    # An independent min-cost flow oracle on networks shaped like the
+    # curvature dual: one arc of negative cost, which the starting
+    # potentials price at >= 0 like every other arc.
+    nx = pytest.importorskip("networkx")
+    calls = []
+    admissible_flow = _MinCostFlow._admissible_flow
+
+    def count(self, *args):
+        calls.append(1)
+        assert len(calls) < 200, "solve kept looping"
+        return admissible_flow(self, *args)
+
+    monkeypatch.setattr(_MinCostFlow, "_admissible_flow", count)
+    rng = random.Random(2718)
+    checked = 0
+    while checked < 30:
+        n = rng.randint(4, 7)
+        s, t = 0, n - 1
+        p = [rng.randint(0, 4) for _ in range(n)]
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < 0.4]
+        downhill = [(u, v) for u, v in pairs if p[v] < p[u]]
+        if not downhill:
+            continue
+        negative = rng.choice(downhill)
+        net = _MinCostFlow(n)
+        oracle = nx.DiGraph()
+        oracle.add_nodes_from(range(n))
+        for u, v in pairs:
+            if (u, v) == negative:
+                cost = p[v] - p[u] + rng.randrange(p[u] - p[v])
+            else:
+                cost = max(p[v] - p[u], 0) + rng.randint(0, 3)
+            cap = rng.randint(1, 4)
+            net.add_edge(u, v, cap, cost)
+            oracle.add_edge(u, v, capacity=cap, weight=cost)
+        amount = nx.maximum_flow_value(oracle, s, t)
+        if not amount:
+            continue
+        oracle.nodes[s]["demand"], oracle.nodes[t]["demand"] = -amount, amount
+        calls.clear()
+        assert net.solve(s, t, amount, p) == nx.min_cost_flow_cost(oracle)
+        checked += 1
 
 
 def test_plan_cost_runs_one_bfs_per_source(c6, monkeypatch):
