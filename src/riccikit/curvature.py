@@ -48,7 +48,7 @@ from .transport import (
     optimal_transport,
     wasserstein,
 )
-from .transport import _domain_metric, _lipschitz_violation, _metric_network
+from .transport import _domain_metric, _metric_network, _potential_violations
 
 
 class EmbeddingError(ValueError):
@@ -66,13 +66,25 @@ class LipschitzProgram:
     dist: Mapping[tuple[int, int], int]
     objective: Mapping[int, Fraction]
 
+    def value(self, f: Mapping[int, int]) -> Fraction:
+        """Objective value of f, a point of the program given on the whole domain.
+
+        f must be integer, 1-Lipschitz on the domain and meet f(y) - f(x) =
+        d(x, y); otherwise one InternalConsistencyError names every problem.
+        """
+        problems = _potential_violations(f, self.dist)
+        if f[self.y] - f[self.x] != self.d_xy:
+            problems.append(f"f(y) - f(x) = {f[self.y] - f[self.x]}, expected {self.d_xy}")
+        if problems:
+            raise InternalConsistencyError(f"curvature potential: {'; '.join(problems)}")
+        return sum((c * f[u] for u, c in self.objective.items()), start=Fraction(0)) / self.d_xy
+
     def solve(self) -> tuple[Fraction, dict[int, int]]:
         """Optimal value and one optimal integer f (with f(x) = 0).
 
         Solves the dual min-cost flow described in the module docstring and
-        checks the certificate (f integer, 1-Lipschitz on the domain, the
-        gradient constraint, and f attaining the flow's value) before
-        returning; a failed check raises InternalConsistencyError.
+        certifies f through `value` before returning; an infeasible f, or one
+        that does not attain the flow's value, raises InternalConsistencyError.
         """
         x, y, d_xy, dist, domain = self.x, self.y, self.d_xy, self.dist, self.domain
         scale = lcm(*(c.denominator for c in self.objective.values()))
@@ -84,18 +96,7 @@ class LipschitzProgram:
         p = [dist[x, u] for u in domain] + [d_xy + 1, 0]
         value = Fraction(-net.solve(n, n + 1, amount, p), scale * d_xy)
         f = {u: p[i] - p[ix] for i, u in enumerate(domain)}
-        if not all(isinstance(fu, int) for fu in f.values()):
-            raise InternalConsistencyError("curvature potential is not integer-valued")
-        if f[y] - f[x] != d_xy:
-            raise InternalConsistencyError(
-                f"curvature potential has f(y) - f(x) = {f[y] - f[x]}, expected {d_xy}"
-            )
-        bad = _lipschitz_violation(f, dist)
-        if bad is not None:
-            raise InternalConsistencyError(f"curvature potential violates 1-Lipschitz on {bad}")
-        attained = sum(
-            (c * f[u] for u, c in self.objective.items()), start=Fraction(0)
-        ) / d_xy
+        attained = self.value(f)
         if attained != value:
             raise InternalConsistencyError(
                 f"curvature potential attains {attained}, flow value is {value}"
@@ -141,7 +142,7 @@ def _kappa_alpha(g: Graph, x: int, y: int, alpha, transport) -> Fraction:
     if x == y:
         raise ValueError("curvature requires two distinct vertices")
     alpha = _frac(alpha)
-    d = bfs_distances(g, x)[y]
+    d = 1 if g.has_edge(x, y) else bfs_distances(g, x)[y]
     return 1 - transport(g, x, y, alpha).distance / d
 
 

@@ -8,11 +8,13 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .curvature import CurvatureReport, report_to_json_dict
+from .curvature import CurvatureReport, build_lipschitz_program, report_to_json_dict
 from .graphs import Graph, RotationSystem
-from .transport import InternalConsistencyError, _domain_metric, _lipschitz_violation
+from .transport import InternalConsistencyError
 
 MAX_DEGREE_LIMIT = 17
+_EXHAUSTIVE_DEGREE = 10  # lemma4_sweep enumerates every subset up to this deg(y)
+_SAMPLES = 1024  # and draws this many seeded subsets beyond it
 
 
 @dataclass(frozen=True)
@@ -132,9 +134,11 @@ def lemma4_witness(g: Graph, x: int, y: int, subset: Iterable[int]) -> Lipschitz
     """The proof's 1-Lipschitz f for a failing instance.
 
     f = 1 on {y} union S, f = -1 on Gamma(x) minus (Gamma(S) union Gamma(y)),
-    f = 0 elsewhere, with the +1 class taking precedence. Its Laplacian
-    gradient is a machine-checkable upper bound on kappa(x, y); on a failing
-    instance that bound is <= 0.
+    f = 0 elsewhere, with the +1 class taking precedence. Both classes lie in
+    the domain of the edge's Lipschitz program, which certifies f as one of
+    its points and evaluates it: at d(x, y) = 1 the objective is the
+    Laplacian gradient Lf(x) - Lf(y), an upper bound on kappa(x, y). On a
+    failing instance that bound is <= 0.
     """
     instance = lemma4_check(g, x, y, subset)
     if instance.holds:
@@ -149,20 +153,8 @@ def lemma4_witness(g: Graph, x: int, y: int, subset: Iterable[int]) -> Lipschitz
     minus = (set(g.neighbors(x)) - gs - set(g.neighbors(y))) - plus
     values = {v: 1 for v in plus}
     values.update({v: -1 for v in minus})
-
-    def f(v: int) -> int:
-        return values.get(v, 0)
-
-    if f(y) - f(x) != 1:
-        raise InternalConsistencyError("witness violates the unit-gradient constraint")
-    bad = _lipschitz_violation(values, _domain_metric(g, sorted(values)))
-    if bad is not None:
-        raise InternalConsistencyError(f"witness violates 1-Lipschitz on pair {bad}")
-
-    def laplacian(w: int) -> Fraction:
-        return Fraction(sum(f(z) - f(w) for z in g.neighbors(w)), g.degree(w))
-
-    nabla = laplacian(x) - laplacian(y)  # d(x, y) = 1
+    program = build_lipschitz_program(g, x, y)
+    nabla = program.value({v: values.get(v, 0) for v in program.domain})
     if nabla > 0:
         raise InternalConsistencyError("witness gradient is positive on a failing instance")
     return LipschitzWitness(x=x, y=y, values=values, nabla=nabla)
@@ -177,31 +169,22 @@ def _oriented(g: Graph, u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-def lemma4_sweep(
-    g: Graph,
-    max_edges: Optional[int] = None,
-    samples: int = 1024,
-    seed: int = 0,
-    exhaustive_degree: int = 10,
-) -> list[Lemma4Instance]:
+def lemma4_sweep(g: Graph, seed: int = 0) -> list[Lemma4Instance]:
     """Hunt for failing instances over every edge; each hit carries a witness.
 
-    Subsets are enumerated exhaustively while deg(y) <= exhaustive_degree and
-    sampled uniformly (seeded) beyond that. On a positively curved graph the
-    result must be empty.
+    Subsets are enumerated exhaustively while deg(y) <= _EXHAUSTIVE_DEGREE
+    and sampled uniformly (seeded) beyond that. On a positively curved graph
+    the result must be empty.
     """
     rng = random.Random(seed)
     failing = []
-    edges = g.edges()
-    if max_edges is not None:
-        edges = edges[:max_edges]
-    for u, v in edges:
+    for u, v in g.edges():
         x, y = _oriented(g, u, v)
         candidates = tuple(w for w in g.neighbors(y) if w != x)
-        if g.degree(y) <= exhaustive_degree:
+        if g.degree(y) <= _EXHAUSTIVE_DEGREE:
             masks = range(1 << len(candidates))
         else:
-            masks = (rng.getrandbits(len(candidates)) for _ in range(samples))
+            masks = (rng.getrandbits(len(candidates)) for _ in range(_SAMPLES))
         seen_masks = set()
         for mask in masks:
             if mask in seen_masks:

@@ -281,11 +281,21 @@ def _domain_metric(g: Graph, domain: Sequence[int]) -> dict[tuple[int, int], int
     return {(u, v): maps[u][v] for u in domain for v in domain}
 
 
-def _lipschitz_violation(
+def _potential_violations(
     f: Mapping[int, int], dist: Mapping[tuple[int, int], int]
-) -> tuple[int, int] | None:
-    """The first pair (u, v) of `dist` with f(v) - f(u) > d(u, v), if any."""
-    return next(((u, v) for (u, v), d in dist.items() if f[v] - f[u] > d), None)
+) -> list[str]:
+    """Why f is not an integer 1-Lipschitz potential on the pairs of `dist`.
+
+    Names the first non-integer value and the first pair (u, v) of `dist`
+    with f(v) - f(u) > d(u, v); empty if f is a valid potential.
+    """
+    odd = [v for v, fv in f.items() if not isinstance(fv, int)]
+    problems = [f"potential value at {odd[0]} is not an integer"] if odd else []
+    for (u, v), d in dist.items():
+        if f[v] - f[u] > d:
+            problems.append(f"potential violates 1-Lipschitz on ({u}, {v}): {f[v]} - {f[u]} > {d}")
+            break
+    return problems
 
 
 def _metric_network(
@@ -374,15 +384,11 @@ def optimal_transport(g: Graph, m1: Measure, m2: Measure) -> TransportResult:
             entries[key] = entries.get(key, 0) + Fraction(delta, scale)
     plan = TransportPlan(entries, m1, m2)
 
-    _self_check(dist, m1, m2, distance, plan, potential)
-    return TransportResult(distance, plan, potential)
-
-
-def _self_check(dist, m1, m2, distance, plan, potential) -> None:
-    """Certify a solve of m1 -> m2 against `dist`, the metric its network was built on."""
+    # Certify the solve against `dist`, the metric its network was built on.
     violations = _duality_violations(plan, potential, dist, distance)
     if violations:
         raise InternalConsistencyError("; ".join(violations))
+    return TransportResult(distance, plan, potential)
 
 
 def wasserstein(g: Graph, m1: Measure, m2: Measure) -> tuple[Fraction, TransportPlan]:
@@ -443,17 +449,8 @@ def _duality_violations(
     if missing:
         problems.append(f"potential undefined on support vertices {sorted(missing)}")
     else:
-        odd = next((v for v, f in potential.items() if not isinstance(f, int)), None)
-        if odd is not None:
-            problems.append(f"potential value at {odd} is not an integer")
         pairs = {(u, v): dist[u, v] for u in domain for v in domain}
-        bad = _lipschitz_violation(potential.values, pairs)
-        if bad is not None:
-            u, v = bad
-            problems.append(
-                f"potential violates 1-Lipschitz on ({u}, {v}): "
-                f"{potential[v]} - {potential[u]} > {dist[bad]}"
-            )
+        problems += _potential_violations(potential.values, pairs)
         primal = sum((mass * dist[u, v] for (u, v), mass in plan.entries.items()), Fraction(0))
         dual = potential.pairing(m1, m2)
         if primal != dual:

@@ -1,7 +1,27 @@
+import signal
+
 import pytest
 
 from riccikit import families
 from riccikit.graphs import Graph
+
+TEST_SECONDS = 120  # far above the slowest test, which takes a few seconds
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    """Fail a test that runs past TEST_SECONDS instead of letting the suite hang."""
+
+    def expire(signum, frame):
+        # pytest.fail, not a plain exception: one raised from a signal handler
+        # can surface as an INTERNALERROR instead of a failed test.
+        pytest.fail(f"test ran past its {TEST_SECONDS} s limit", pytrace=False)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(TEST_SECONDS)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

@@ -29,7 +29,7 @@ from riccikit.graphs import (
 )
 from riccikit.transport import InternalConsistencyError, _MinCostFlow
 
-from oracles import oracle_kappa, random_connected_graph, relabeled
+from oracles import oracle_kappa, random_connected_graph, relabeled, star_with_pendants
 
 
 def test_kappa_lly_k2(k2):
@@ -130,6 +130,25 @@ def test_lipschitz_program_rejects_a_broken_certificate(c6, monkeypatch):
     monkeypatch.setattr(_MinCostFlow, "solve", solve_then_zero_potentials)
     with pytest.raises(InternalConsistencyError, match=r"f\(y\) - f\(x\)"):
         build_lipschitz_program(c6, 0, 1).solve()
+
+
+def test_program_value_certifies_its_point(c6):
+    prog = build_lipschitz_program(c6, 0, 1)  # domain 5, 0, 1, 2 along the cycle
+    _, f = prog.solve()
+    assert prog.value(f) == kappa_lly(c6, 0, 1)
+    for bad, problem in [
+        ({**f, 2: Fraction(3, 2)}, "not an integer"),
+        ({**f, 2: f[5] + 4}, "1-Lipschitz"),  # d(5, 2) = 3
+        ({**f, 1: f[0] + 2, 2: f[0] + 2}, r"1-Lipschitz .*; f\(y\) - f\(x\) = 2"),
+    ]:
+        with pytest.raises(InternalConsistencyError, match=problem):
+            prog.value(bad)
+    # The lemma4 witness on the star, extended by 0, bounds kappa from above.
+    g, x, y, _ = star_with_pendants()
+    star = build_lipschitz_program(g, x, y)
+    witness = dict.fromkeys(star.domain, 0)
+    witness.update({y: 1, 7: 1, 8: 1, 2: -1, 3: -1, 4: -1, 5: -1, 6: -1})
+    assert star.value(witness) == Fraction(-1, 3) >= kappa_lly(g, x, y) == -1
 
 
 @pytest.mark.parametrize(

@@ -149,13 +149,14 @@ def test_lemma4_sweep_empty_on_positively_curved():
         assert lemma4_sweep(g) == []
 
 
-def test_lemma4_sweep_max_edges_and_sampling():
-    g, *_ = star_with_pendants()
-    assert lemma4_sweep(g, max_edges=0) == []
-    # sampled path (tiny exhaustive_degree forces sampling); seeded, so stable
-    a = lemma4_sweep(g, exhaustive_degree=1, samples=64, seed=5)
-    b = lemma4_sweep(g, exhaustive_degree=1, samples=64, seed=5)
-    assert [f.subset for f in a] == [f.subset for f in b]
+def test_lemma4_sweep_samples_subsets_of_a_degree_11_edge():
+    # Hubs 0 and 1, adjacent, with leaves 2..11 and 12..21: deg(y) = 11 is
+    # past exhaustive enumeration, so the hub edge's subsets are sampled.
+    g = Graph([(0, 1)] + [(0, v) for v in range(2, 12)] + [(1, v) for v in range(12, 22)])
+    a = lemma4_sweep(g, seed=5)
+    assert a
+    assert all((f.x, f.y) == (0, 1) and f.s >= 2 for f in a)
+    assert a == lemma4_sweep(g, seed=5)
 
 
 def test_degree_audit_applicable_pass():
