@@ -16,6 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, partial
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -29,7 +30,7 @@ from .curvature import (
 )
 from .graphs import Graph, RotationSystem
 from .structure import degree_audit, instance_to_json_dict, lemma4_sweep
-from .transport import InternalConsistencyError, TransportResult, verify_duality
+from .transport import InternalConsistencyError, verify_duality
 
 _EDGE_SAMPLE = 12
 _PAIR_LIMIT = 10  # vertices; all-pairs curvature beyond this is out of desk range
@@ -46,19 +47,6 @@ class CheckResult:
     @property
     def failed(self) -> bool:
         return self.status == "fail"
-
-
-class _TransportMemo:
-    """`_lazy_transport` solved once per (x, y, alpha), on one graph."""
-
-    def __init__(self):
-        self._results: dict[tuple[int, int, Fraction], TransportResult] = {}
-
-    def __call__(self, g: Graph, x: int, y: int, alpha: Fraction) -> TransportResult:
-        key = (x, y, alpha)
-        if key not in self._results:
-            self._results[key] = _lazy_transport(g, x, y, alpha)
-        return self._results[key]
 
 
 def _sample_edges(g: Graph, rng: random.Random) -> list[tuple[int, int]]:
@@ -96,7 +84,7 @@ def _check_duality(g: Graph, rng: random.Random, transport, **_) -> CheckResult:
     count = 0
     for x, y in _sample_edges(g, rng):
         for alpha in _ALPHAS:
-            result = transport(g, x, y, alpha)
+            result = transport(x, y, alpha)
             check = verify_duality(result.plan, result.potential, g)
             if not check:
                 return CheckResult(
@@ -112,7 +100,7 @@ def _check_integrality(g: Graph, rng: random.Random, transport, **_) -> CheckRes
     count = 0
     for x, y in _sample_edges(g, rng):
         for alpha in _ALPHAS:
-            result = transport(g, x, y, alpha)
+            result = transport(x, y, alpha)
             bad = [v for v, f in result.potential.items() if not isinstance(f, int)]
             if bad:
                 return CheckResult(
@@ -285,7 +273,7 @@ def run_checks(
     if unknown:
         raise ValueError(f"unknown check {unknown[0]!r}")
     report = curvature_report(g, rot=rot, mode="lly")
-    transport = _TransportMemo()
+    transport = cache(partial(_lazy_transport, g))  # one solve per (x, y, alpha)
     results = []
     for name in ALL_CHECKS:
         if name not in selected:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -32,7 +33,17 @@ class _InputError(Exception):
     """Wraps any bad-input condition for a uniform exit-2 path."""
 
 
+_ALPHA_LIMIT = 1000  # characters of alpha text, and the largest |exponent|
+
+
 def _parse_alpha(text: str) -> Fraction:
+    # Fraction expands 10**exponent in full, and an int of over 4,300 digits
+    # cannot be printed, so the size is decided from the text first.
+    exponent = re.search(r"e[-+]?(\d[\d_]*)", text[:_ALPHA_LIMIT + 1], re.IGNORECASE)
+    digits = exponent[1].replace("_", "") if exponent else "0"
+    if len(text) > _ALPHA_LIMIT or int(digits) > _ALPHA_LIMIT:
+        raise _InputError(f"alpha needs at most {_ALPHA_LIMIT} characters and an "
+                          f"exponent of at most {_ALPHA_LIMIT} in magnitude")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -82,6 +93,8 @@ def cmd_curvature(args) -> int:
         raise _InputError("mode 'alpha' needs an alpha value")
     if args.mode != "alpha" and alpha is not None:
         raise _InputError("alpha is only meaningful in mode 'alpha'")
+    if args.jobs < 1:
+        raise _InputError(f"--jobs must be at least 1, not {args.jobs}")
     report = curvature_report(
         graph,
         rot=rot,

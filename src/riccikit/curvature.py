@@ -25,9 +25,11 @@ reference simplex in the test suite cross-check this.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import lcm
 from typing import Mapping, Optional, Sequence
 
@@ -134,16 +136,16 @@ def _lazy_transport(g: Graph, x: int, y: int, alpha: Fraction) -> TransportResul
 
 
 def _kappa_alpha(g: Graph, x: int, y: int, alpha, transport) -> Fraction:
-    """1 - W / d(x, y), with W from `transport(g, x, y, alpha)`.
+    """1 - W / d(x, y), with W from `transport(x, y, alpha)`.
 
-    `transport` is `_lazy_transport` or a memo of it, such as the one
-    `checks.run_checks` keeps for one call.
+    `transport` is `_lazy_transport` bound to g, or a memo of it, such as the
+    one `checks.run_checks` keeps for one call.
     """
     if x == y:
         raise ValueError("curvature requires two distinct vertices")
     alpha = _frac(alpha)
     d = 1 if g.has_edge(x, y) else bfs_distances(g, x)[y]
-    return 1 - transport(g, x, y, alpha).distance / d
+    return 1 - transport(x, y, alpha).distance / d
 
 
 def _kappa_lly_slope(g: Graph, x: int, y: int, transport) -> Fraction:
@@ -156,7 +158,7 @@ def _kappa_lly_slope(g: Graph, x: int, y: int, transport) -> Fraction:
 
 def kappa_alpha(g: Graph, x: int, y: int, alpha) -> Fraction:
     """Lazy-walk curvature 1 - W(m_x^a, m_y^a) / d(x, y)."""
-    return _kappa_alpha(g, x, y, alpha, _lazy_transport)
+    return _kappa_alpha(g, x, y, alpha, partial(_lazy_transport, g))
 
 
 def _require_edge(g: Graph, x: int, y: int) -> None:
@@ -171,7 +173,7 @@ def kappa_lly_slope(g: Graph, x: int, y: int) -> Fraction:
     the final linear piece of alpha -> kappa_alpha, where the slope equals the
     limit-free value. Tests assert exact agreement with kappa_lly.
     """
-    return _kappa_lly_slope(g, x, y, _lazy_transport)
+    return _kappa_lly_slope(g, x, y, partial(_lazy_transport, g))
 
 
 def kappa_zero(g: Graph, x: int, y: int) -> Fraction:
@@ -301,8 +303,9 @@ def curvature_report(
 ) -> CurvatureReport:
     """Batch curvature over all edges (and vertices when an embedding is given).
 
-    Edge work may fan out to `jobs` worker processes; results are merged in
-    sorted edge order so the report is identical at any parallelism width.
+    Edge work may fan out to at most `jobs` worker processes, never more than
+    the edges or the CPUs; results are merged in sorted edge order so the
+    report is identical at any parallelism width.
     """
     if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -335,9 +338,10 @@ def curvature_report(
     edge_records: tuple[EdgeCurvature, ...] = ()
     if mode in _EDGE_MODES:
         tasks = [(g, e, mode, alpha, include_zero) for e in g.edges()]
-        if jobs > 1 and len(tasks) > 1:
-            chunk = max(1, len(tasks) // (jobs * 4))
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+        workers = min(jobs, len(tasks), os.cpu_count() or 1)
+        if workers > 1:
+            chunk = max(1, len(tasks) // (workers * 4))
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 records = list(pool.map(_edge_task, tasks, chunksize=chunk))
         else:
             records = [_edge_task(t) for t in tasks]

@@ -8,7 +8,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .curvature import CurvatureReport, build_lipschitz_program, report_to_json_dict
+from .curvature import CurvatureReport, LipschitzProgram
+from .curvature import build_lipschitz_program, report_to_json_dict
 from .graphs import Graph, RotationSystem
 from .transport import InternalConsistencyError
 
@@ -109,12 +110,10 @@ def _validate_lemma4_inputs(g: Graph, x: int, y: int, subset: Iterable[int]) -> 
     return subset
 
 
-def lemma4_check(g: Graph, x: int, y: int, subset: Iterable[int]) -> Lemma4Instance:
-    """Exact evaluation of the inequality for S = subset on edge (x, y)."""
-    subset = _validate_lemma4_inputs(g, x, y, subset)
+def _evaluate(g: Graph, x: int, y: int, subset: tuple) -> tuple[Lemma4Instance, set[int]]:
+    """The inequality for a valid, sorted subset S on edge (x, y), and Gamma(S)."""
     gx = set(g.neighbors(x))
-    gy = set(g.neighbors(y))
-    gamma_set = gx & gy
+    gamma_set = gx & set(g.neighbors(y))
     gs: set[int] = set()
     for v in subset:
         gs.update(g.neighbors(v))
@@ -124,10 +123,30 @@ def lemma4_check(g: Graph, x: int, y: int, subset: Iterable[int]) -> Lemma4Insta
     lhs = len(gs & gx)
     overlap = len(gs & gamma_set)
     rhs = Fraction(s * g.degree(x), g.degree(y)) - (k + 1 + gamma) + overlap
-    return Lemma4Instance(
+    instance = Lemma4Instance(
         x=x, y=y, subset=subset, s=s, k=k, gamma=gamma,
         lhs=lhs, overlap=overlap, rhs=rhs, holds=lhs > rhs,
     )
+    return instance, gs
+
+
+def _witness(
+    g: Graph, instance: Lemma4Instance, gs: set[int], program: LipschitzProgram
+) -> LipschitzWitness:
+    """The witness of a failing instance, certified and evaluated by its edge's program."""
+    x, y = instance.x, instance.y
+    plus = {y, *instance.subset}
+    minus = set(g.neighbors(x)) - gs - set(g.neighbors(y)) - plus
+    values = dict.fromkeys(plus, 1) | dict.fromkeys(minus, -1)
+    nabla = program.value({v: values.get(v, 0) for v in program.domain})
+    if nabla > 0:
+        raise InternalConsistencyError("witness gradient is positive on a failing instance")
+    return LipschitzWitness(x=x, y=y, values=values, nabla=nabla)
+
+
+def lemma4_check(g: Graph, x: int, y: int, subset: Iterable[int]) -> Lemma4Instance:
+    """Exact evaluation of the inequality for S = subset on edge (x, y)."""
+    return _evaluate(g, x, y, _validate_lemma4_inputs(g, x, y, subset))[0]
 
 
 def lemma4_witness(g: Graph, x: int, y: int, subset: Iterable[int]) -> LipschitzWitness:
@@ -140,24 +159,12 @@ def lemma4_witness(g: Graph, x: int, y: int, subset: Iterable[int]) -> Lipschitz
     Laplacian gradient Lf(x) - Lf(y), an upper bound on kappa(x, y). On a
     failing instance that bound is <= 0.
     """
-    instance = lemma4_check(g, x, y, subset)
+    instance, gs = _evaluate(g, x, y, _validate_lemma4_inputs(g, x, y, subset))
     if instance.holds:
         raise ValueError(
             "inequality holds on this instance; the construction certifies nothing"
         )
-    subset = instance.subset
-    gs: set[int] = set()
-    for v in subset:
-        gs.update(g.neighbors(v))
-    plus = {y} | set(subset)
-    minus = (set(g.neighbors(x)) - gs - set(g.neighbors(y))) - plus
-    values = {v: 1 for v in plus}
-    values.update({v: -1 for v in minus})
-    program = build_lipschitz_program(g, x, y)
-    nabla = program.value({v: values.get(v, 0) for v in program.domain})
-    if nabla > 0:
-        raise InternalConsistencyError("witness gradient is positive on a failing instance")
-    return LipschitzWitness(x=x, y=y, values=values, nabla=nabla)
+    return _witness(g, instance, gs, build_lipschitz_program(g, x, y))
 
 
 def _oriented(g: Graph, u: int, v: int) -> tuple[int, int]:
@@ -186,15 +193,17 @@ def lemma4_sweep(g: Graph, seed: int = 0) -> list[Lemma4Instance]:
         else:
             masks = (rng.getrandbits(len(candidates)) for _ in range(_SAMPLES))
         seen_masks = set()
+        program = None  # built at the edge's first failing subset
         for mask in masks:
             if mask in seen_masks:
                 continue
             seen_masks.add(mask)
+            # sorted and drawn from Gamma(y) minus {x}, so valid by construction
             subset = tuple(c for i, c in enumerate(candidates) if mask >> i & 1)
-            instance = lemma4_check(g, x, y, subset)
+            instance, gs = _evaluate(g, x, y, subset)
             if not instance.holds:
-                witness = lemma4_witness(g, x, y, subset)
-                failing.append(replace(instance, witness=witness))
+                program = program or build_lipschitz_program(g, x, y)
+                failing.append(replace(instance, witness=_witness(g, instance, gs, program)))
     return failing
 
 

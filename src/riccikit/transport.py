@@ -186,26 +186,37 @@ class _MinCostFlow:
         flow below its capacity also has reduced cost 0, so it holds
         optimal duals.
         """
-        adj, to, cap, cost = self.adj, self.to, self.cap, self.cost
-        total = sent = 0
+        # s is always reached, so each raise lifts potential[t] - potential[s]
+        # by >= 1. While flow remains, a residual s-t path of < n arcs exists;
+        # at reduced costs >= 0 its cost, at most (n - 1) max |cost|, bounds that.
+        bound = (self.n - 1) * max(self.cost, default=0) - (potential[t] - potential[s])
+        total = sent = raises = 0
         while sent < amount:
             delta, level = self._admissible_flow(s, t, potential, amount - sent)
             sent += delta
             total += delta * (potential[t] - potential[s])
             if sent == amount:
                 break
-            step = min((cost[arc] + potential[u] - potential[to[arc]]
-                        for u in range(self.n) if level[u] >= 0
-                        for arc in adj[u] if cap[arc] > 0 and level[to[arc]] < 0),
-                       default=None)
-            if step is None:
-                raise InternalConsistencyError("transport network is infeasible")
-            if step <= 0:
-                raise InternalConsistencyError(f"an arc leaves the cut at reduced cost {step}")
-            for v in range(self.n):
-                if level[v] < 0:
-                    potential[v] += step
+            self._raise(level, potential)
+            raises += 1
+            if raises > bound:
+                raise InternalConsistencyError(f"{raises} potential raises exceed the bound {bound}")
         return total
+
+    def _raise(self, level: list[int], potential: list[int]) -> None:
+        """Lift every unreached node by the least reduced cost leaving the reached set."""
+        adj, to, cap, cost = self.adj, self.to, self.cap, self.cost
+        step = min((cost[arc] + potential[u] - potential[to[arc]]
+                    for u in range(self.n) if level[u] >= 0
+                    for arc in adj[u] if cap[arc] > 0 and level[to[arc]] < 0),
+                   default=None)
+        if step is None:
+            raise InternalConsistencyError("transport network is infeasible")
+        if step <= 0:
+            raise InternalConsistencyError(f"an arc leaves the cut at reduced cost {step}")
+        for v in range(self.n):
+            if level[v] < 0:
+                potential[v] += step
 
     def _admissible_flow(
         self, s: int, t: int, potential: list[int], limit: int

@@ -174,3 +174,49 @@ def star_with_pendants() -> tuple[Graph, int, int, tuple[int, int]]:
     """
     edges = [(0, i) for i in range(1, 7)] + [(1, 7), (1, 8)]
     return Graph(edges), 0, 1, (7, 8)
+
+
+def oracle_lemma4(g: Graph, x: int, y: int, subset) -> dict:
+    """The neighborhood-expansion inequality for S = subset on edge (x, y),
+    evaluated straight from its definition.
+
+    It holds when |Gamma(S) & Gamma(x)| > (s / deg y) deg x - (k + 1 + gamma)
+    + |Gamma(S) & Gamma(x) & Gamma(y)|, with s = |S|, k = |S & Gamma(x)| and
+    gamma = |Gamma(x) & Gamma(y)|. A failing instance also gets the proof's
+    witness f (+1 on {y} + S; -1 on the rest of Gamma(x) outside Gamma(S) and
+    Gamma(y)) and its Laplacian gradient Lf(x) - Lf(y), summed edge by edge.
+    """
+    def around(vs):
+        return {w for v in vs for w in g.neighbors(v)}
+
+    gx, gy, gs = around([x]), around([y]), around(subset)
+    s, k, gamma = len(subset), len(set(subset) & gx), len(gx & gy)
+    out = {
+        "s": s, "k": k, "gamma": gamma, "lhs": len(gs & gx), "overlap": len(gs & gx & gy),
+        "rhs": Fraction(s, g.degree(y)) * g.degree(x) - (k + 1 + gamma) + len(gs & gx & gy),
+    }
+    out["holds"] = out["lhs"] > out["rhs"]
+    if not out["holds"]:
+        f = {v: 1 for v in [y, *subset]}
+        f.update({v: -1 for v in gx if v not in gs | gy | set(f)})
+
+        def laplacian(w):
+            return Fraction(sum(f.get(z, 0) - f.get(w, 0) for z in g.neighbors(w)),
+                            g.degree(w))
+
+        out["witness"], out["nabla"] = f, laplacian(x) - laplacian(y)
+    return out
+
+
+def oracle_lemma4_failures(g: Graph) -> set[tuple[int, int, tuple[int, ...]]]:
+    """Every failing (x, y, S): each edge oriented so that deg x >= deg y (the
+    smaller id is x on a tie), and every subset S of Gamma(y) - {x}."""
+    failures = set()
+    for u, v in g.edges():
+        x, y = sorted((u, v), key=lambda w: (-g.degree(w), w))
+        pool = sorted(set(g.neighbors(y)) - {x})
+        for size in range(len(pool) + 1):
+            for subset in combinations(pool, size):
+                if not oracle_lemma4(g, x, y, subset)["holds"]:
+                    failures.add((x, y, subset))
+    return failures

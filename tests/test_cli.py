@@ -90,6 +90,32 @@ def test_curvature_alpha_requires_exact_rational(tmp_path, capsys):
     assert json.loads(out)["alpha"] == "1/2"
 
 
+def test_alpha_size_is_bounded_before_parsing(tmp_path, capsys):
+    # An exponent or a text past 1,000 would build or print integers beyond
+    # Python's 4,300-digit str limit; both exit 2 before Fraction runs.
+    path = tmp_path / "k3.edges"
+    path.write_text("0 1\n0 2\n1 2\n")
+    commands = (["curvature", "--input", str(path), "--mode", "alpha", "--jobs", "1", "--alpha"],
+                ["transport", "--input", str(path), "0", "1", "--alpha"])
+    for argv in commands:
+        for alpha in ("1e5000", "1e-5000", "0." + "1" * 5000):
+            code, out, err = run_cli(capsys, *argv, alpha)
+            assert (code, out) == (2, ""), alpha[:10]
+            assert err.startswith("error: alpha needs at most 1000") and err.count("\n") == 1
+        for alpha in ("1e-1000", "0.25", "1/3"):
+            code, out, err = run_cli(capsys, *argv, alpha)
+            assert (code, err) == (0, ""), alpha
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_exit2(tmp_path, capsys, jobs):
+    path = tmp_path / "k3.edges"
+    path.write_text("0 1\n0 2\n1 2\n")
+    code, out, err = run_cli(capsys, "curvature", "--input", str(path), "--jobs", jobs)
+    assert (code, out) == (2, "")
+    assert err == f"error: --jobs must be at least 1, not {jobs}\n"
+
+
 def test_transport_triangle(tmp_path, capsys):
     g, _ = families.complete(3)
     path = tmp_path / "k3.edges"

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from riccikit import families
+from riccikit import curvature, families
 from riccikit.curvature import (
     EmbeddingError,
     build_lipschitz_program,
@@ -325,6 +325,39 @@ def test_report_parallel_matches_serial(k3):
     serial = curvature_report(k3, mode="lly", jobs=1)
     parallel = curvature_report(k3, mode="lly", jobs=2)
     assert serial == parallel
+
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize=1):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize(
+    "jobs, cpus, workers",
+    [(2, 2, [2]), (1000, 3, [3]), (1000, 64, [9]), (5, None, []), (1, 8, [])],
+)
+def test_report_workers_never_exceed_jobs_edges_or_cpus(monkeypatch, jobs, cpus, workers):
+    # prism(3) has 9 edges; a fake pool, so no process starts at any width.
+    monkeypatch.setattr(curvature, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(curvature.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    g, _ = families.prism(3)
+    report = curvature_report(g, mode="lly", jobs=jobs)
+    assert _SerialPool.sizes == workers
+    assert report == curvature_report(g, mode="lly", jobs=1)
 
 
 def test_report_json_and_csv_shapes():

@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+import riccikit.structure
 from riccikit import families
 from riccikit.curvature import curvature_report, kappa_lly
 from riccikit.graphs import Graph, RotationSystem
@@ -14,7 +16,12 @@ from riccikit.structure import (
     lemma4_witness,
 )
 
-from oracles import star_with_pendants
+from oracles import (
+    oracle_lemma4,
+    oracle_lemma4_failures,
+    random_connected_graph,
+    star_with_pendants,
+)
 
 
 def test_detect_caps_wheel_rim_arcs():
@@ -157,6 +164,77 @@ def test_lemma4_sweep_samples_subsets_of_a_degree_11_edge():
     assert a
     assert all((f.x, f.y) == (0, 1) and f.s >= 2 for f in a)
     assert a == lemma4_sweep(g, seed=5)
+
+
+def _two_hubs(leaves):
+    """Adjacent hubs 0 and 1, each with `leaves` leaves of its own."""
+    return Graph([(0, 1)] + [(0, v) for v in range(2, 2 + leaves)]
+                 + [(1, v) for v in range(2 + leaves, 2 + 2 * leaves)])
+
+
+def _assert_matches_oracle(g, inst, kappa):
+    expected = oracle_lemma4(g, inst.x, inst.y, inst.subset)
+    assert not expected["holds"]
+    for field in ("s", "k", "gamma", "lhs", "overlap", "rhs", "holds"):
+        assert getattr(inst, field) == expected[field], field
+    assert inst.witness.values == expected["witness"]
+    assert inst.witness.nabla == expected["nabla"]
+    assert kappa <= inst.witness.nabla <= 0
+
+
+def test_lemma4_sweep_matches_the_oracle_on_random_graphs():
+    # Degrees stay at most 10, so the sweep enumerates every subset and must
+    # find exactly the oracle's failing instances.
+    rng = random.Random(41)
+    total = 0
+    for seed in range(50):
+        g = random_connected_graph(rng, n_max=22, max_degree=10)
+        assert g.max_degree <= 10
+        failing = lemma4_sweep(g, seed=seed)
+        found = [(inst.x, inst.y, inst.subset) for inst in failing]
+        assert len(set(found)) == len(found)
+        assert set(found) == oracle_lemma4_failures(g)
+        kappa = {}
+        for inst in failing:
+            if (inst.x, inst.y) not in kappa:
+                kappa[inst.x, inst.y] = kappa_lly(g, inst.x, inst.y)
+            _assert_matches_oracle(g, inst, kappa[inst.x, inst.y])
+        total += len(failing)
+    assert total >= 100
+
+
+def test_lemma4_sweep_builds_one_program_per_edge(monkeypatch):
+    # deg(y) = 17, so the hub edge's subsets are sampled; every failing one
+    # is certified by the same program.
+    g = _two_hubs(16)
+    builds = []
+    build = riccikit.structure.build_lipschitz_program
+
+    def counted(g, x, y):
+        builds.append((x, y))
+        return build(g, x, y)
+
+    monkeypatch.setattr(riccikit.structure, "build_lipschitz_program", counted)
+    failing = lemma4_sweep(g, seed=5)
+    assert len(failing) > 900
+    assert builds == [(0, 1)]
+    kappa = kappa_lly(g, 0, 1)
+    for inst in failing:
+        _assert_matches_oracle(g, inst, kappa)
+
+
+def test_lemma4_sweep_skips_the_validating_functions(monkeypatch):
+    # The sweep's subsets are valid by construction, and a witness comes
+    # from the one evaluation that found its instance failing.
+    def forbidden(*args):
+        raise AssertionError("called on the sweep path")
+
+    g, x, y, subset = star_with_pendants()
+    monkeypatch.setattr(riccikit.structure, "lemma4_check", forbidden)
+    assert lemma4_witness(g, x, y, subset).nabla == Fraction(-1, 3)
+    monkeypatch.setattr(riccikit.structure, "lemma4_witness", forbidden)
+    monkeypatch.setattr(riccikit.structure, "_validate_lemma4_inputs", forbidden)
+    assert any(inst.subset == subset for inst in lemma4_sweep(g))
 
 
 def test_degree_audit_applicable_pass():

@@ -385,6 +385,25 @@ def test_potentials_pricing_an_arc_below_zero_are_an_internal_fault(monkeypatch)
     assert len(calls) == 1
 
 
+def test_a_raise_loop_is_an_internal_fault(monkeypatch):
+    # A faulty raise that lifts the reached side never makes an arc across
+    # the cut admissible, so solve would loop; the raise bound stops it.
+    def lifts_reached_side(self, level, potential):
+        step = min(self.cost[arc] + potential[u] - potential[self.to[arc]]
+                   for u in range(self.n) if level[u] >= 0
+                   for arc in self.adj[u] if self.cap[arc] > 0 and level[self.to[arc]] < 0)
+        for v in range(self.n):
+            if level[v] >= 0:
+                potential[v] += step
+
+    monkeypatch.setattr(_MinCostFlow, "_raise", lifts_reached_side)
+    g, _ = families.cycle(6)
+    with pytest.raises(InternalConsistencyError, match="potential raises exceed the bound"):
+        build_lipschitz_program(g, 0, 1).solve()
+    with pytest.raises(InternalConsistencyError, match="potential raises exceed the bound"):
+        optimal_transport(g, lazy_measure(g, 0, 0), lazy_measure(g, 3, 0))
+
+
 def test_flow_engine_matches_networkx_with_a_negative_arc(monkeypatch):
     # An independent min-cost flow oracle on networks shaped like the
     # curvature dual: one arc of negative cost, which the starting
