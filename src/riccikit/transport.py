@@ -14,7 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import lcm
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 from .graphs import Graph, bfs_distances
@@ -39,16 +41,17 @@ class Measure:
 
     def __init__(self, masses: Mapping[int, Fraction]):
         clean: dict[int, Fraction] = {}
-        total = Fraction(0)
         for v, m in masses.items():
             m = _frac(m)
-            if m < 0:
+            if m.numerator < 0:
                 raise TransportError(f"negative mass {m} at vertex {v}")
-            if m > 0:
+            if m.numerator:
                 clean[int(v)] = m
-                total += m
-        if total != 1:
-            raise TransportError(f"masses sum to {total}, expected 1")
+        # Summed over the common denominator: one integer per mass.
+        common = lcm(*(m.denominator for m in clean.values()))
+        total = sum(m.numerator * (common // m.denominator) for m in clean.values())
+        if total != common:
+            raise TransportError(f"masses sum to {Fraction(total, common)}, expected 1")
         self._mass = dict(sorted(clean.items()))
 
     def support(self) -> tuple[int, ...]:
@@ -176,6 +179,23 @@ class _MinCostFlow:
         self.cap.append(0)
         self.cost.append(-cost)
         return arc
+
+    def add_edges(
+        self, tails: Sequence[int], heads: Sequence[int], caps: Sequence[int], costs: Sequence[int]
+    ) -> None:
+        """`add_edge` on each arc in turn, with the arc lists grown in one step."""
+        first, k = len(self.to), len(heads)
+        to, cap, cost = [0] * (2 * k), [0] * (2 * k), [0] * (2 * k)
+        to[::2], to[1::2] = heads, tails
+        cap[::2] = caps
+        cost[::2], cost[1::2] = costs, [-c for c in costs]
+        self.to += to
+        self.cap += cap
+        self.cost += cost
+        adj = self.adj
+        for arc, u, v in zip(range(first, first + 2 * k, 2), tails, heads):
+            adj[u].append(arc)
+            adj[v].append(arc + 1)
 
     def solve(self, s: int, t: int, amount: int, potential: list[int]) -> int:
         """Push `amount` units s -> t at minimum total cost.
@@ -330,25 +350,79 @@ def _metric_network(
     n = len(domain)
     node = {u: i for i, u in enumerate(domain)}
     amount = sum(c for c in supply.values() if c > 0)
+    tails = [n if c > 0 else node[u] for u, c in supply.items() if c]
+    heads = [node[u] if c > 0 else n + 1 for u, c in supply.items() if c]
+    caps = [abs(c) for c in supply.values() if c]
+    costs = [0] * len(caps)
+    # Pair k = i * n + j is (domain[i], domain[j]): row i, column j.
+    flat = list(map(dist.__getitem__, product(domain, repeat=2)))
+    rows = [flat[k:k + n] for k in range(0, n * n, n)]
+    cols = list(zip(*rows))
+    # around[i](cols[j]) holds d(w, v) for u = domain[i], v = domain[j] and
+    # each G-neighbour w of u in the domain. Index i pads it to a tuple of
+    # two or more; d(u, v) itself is never d(u, v) - 1.
+    around = [itemgetter(i, i, *[j for j, d in enumerate(row) if d == 1])
+              for i, row in enumerate(rows)]
+    kept = [i * n + j for i, row in enumerate(rows) for j, d in enumerate(row)
+            if d == 1 or j != i and d - 1 not in around[i](cols[j])]
+    tails += [k // n for k in kept]
+    heads += [k % n for k in kept]
+    caps += [amount + 1] * len(kept)
+    costs += [flat[k] for k in kept]
     net = _MinCostFlow(n + 2)
-    for u, c in supply.items():
-        if c > 0:
-            net.add_edge(n, node[u], c, 0)
-        elif c < 0:
-            net.add_edge(node[u], n + 1, -c, 0)
-    near = {u: [w for w in domain if dist[u, w] == 1] for u in domain}
-    for u in domain:
-        for v in domain:
-            d = dist[u, v]
-            if u != v and (d == 1 or all(dist[w, v] != d - 1 for w in near[u])):
-                net.add_edge(node[u], node[v], amount + 1, d)
+    net.add_edges(tails, heads, caps, costs)
     return net, amount
+
+
+def _scaled(measure: Measure, scale: int) -> dict[int, int]:
+    """The masses of `measure` times `scale`, a multiple of every denominator."""
+    return {v: m.numerator * (scale // m.denominator) for v, m in measure.items()}
+
+
+def _coupling(
+    net: _MinCostFlow, domain: Sequence[int], source: Mapping[int, int], target: Mapping[int, int]
+) -> dict[tuple[int, int], int]:
+    """An optimal coupling of the scaled measures, from the flow `net` carries.
+
+    The common mass stays in place; the rest follows a path decomposition
+    of the flow on the domain arcs (the flow on an arc is the capacity of
+    its reverse). An arc that carries flow has reduced cost 0, so p rises
+    by its cost >= 1 along it: the flow has no cycle, and a path from u to
+    v costs p(v) - p(u) <= d(u, v); no path is shorter, so it costs d(u, v).
+    A path leaves each node by the lowest-numbered head still carrying
+    flow; `out[i]` maps those heads, in increasing order, to their flow.
+    """
+    n = len(domain)
+    units = {(v, v): min(source[v], target[v]) for v in domain if v in source and v in target}
+    to, cap = net.to, net.cap
+    out: list[dict[int, int]] = [{} for _ in range(n)]
+    for i, j, c in sorted((to[a + 1], to[a], cap[a + 1]) for a in range(0, len(to), 2)
+                          if cap[a + 1] and to[a] < n and to[a + 1] < n):
+        out[i][j] = c
+    excess = [source.get(v, 0) - target.get(v, 0) for v in domain]
+    for i in range(n):
+        while excess[i] > 0:
+            path = [i]
+            while excess[path[-1]] >= 0:
+                path.append(next(iter(out[path[-1]])))
+            u = path[-1]
+            delta = min(excess[i], -excess[u], *(out[a][b] for a, b in zip(path, path[1:])))
+            for a, b in zip(path, path[1:]):
+                out[a][b] -= delta
+                if not out[a][b]:
+                    del out[a][b]
+            excess[i] -= delta
+            excess[u] += delta
+            key = (domain[i], domain[u])
+            units[key] = units.get(key, 0) + delta
+    return units
 
 
 def optimal_transport(g: Graph, m1: Measure, m2: Measure) -> TransportResult:
     """Exact Wasserstein distance, an optimal coupling, and an integer potential.
 
-    Masses are scaled to integers by the lcm of their denominators.
+    Masses are scaled to integers by the lcm of their denominators; the
+    solve and its certificate stay at that scale.
     """
     domain = sorted(set(m1.support()) | set(m2.support()))
     foreign = [v for v in domain if v not in g]
@@ -356,50 +430,28 @@ def optimal_transport(g: Graph, m1: Measure, m2: Measure) -> TransportResult:
         raise TransportError(f"a measure puts mass on vertex {foreign[0]} not in the graph")
     scale = lcm(*(m.denominator for _, m in m1.items()),
                 *(m.denominator for _, m in m2.items()))
+    source, target = _scaled(m1, scale), _scaled(m2, scale)
     supply = dict.fromkeys(domain, 0)
-    for v, m in m1.items():
-        supply[v] += m.numerator * (scale // m.denominator)
-    for v, m in m2.items():
-        supply[v] -= m.numerator * (scale // m.denominator)
+    for v, c in source.items():
+        supply[v] += c
+    for v, c in target.items():
+        supply[v] -= c
     n = len(domain)
     dist = _domain_metric(g, domain)
     net, amount = _metric_network(domain, dist, supply)
     p = [0] * (n + 2)  # every arc cost is >= 0
-    distance = Fraction(net.solve(n, n + 1, amount, p), scale)
+    total = net.solve(n, n + 1, amount, p)
     anchor = min(m1.support())
     base = p[domain.index(anchor)]
-    potential = DualPotential({v: base - p[i] for i, v in enumerate(domain)}, anchor)
-
-    # The common mass stays in place; the rest follows a path decomposition
-    # of the flow on the domain arcs (the flow on an arc is the capacity of
-    # its reverse). An arc that carries flow has reduced cost 0, so p rises
-    # by its cost >= 1 along it: the flow has no cycle, and a path from u to
-    # v costs p(v) - p(u) <= d(u, v); no path is shorter, so it costs d(u, v).
-    entries = {(v, v): min(m1[v], m2[v]) for v in domain if m1[v] and m2[v]}
-    flow = {(i, net.to[a]): net.cap[a ^ 1] for i in range(n) for a in net.adj[i]
-            if a % 2 == 0 and net.to[a] < n and net.cap[a ^ 1] > 0}
-    excess = [supply[v] for v in domain]
-    for i in range(n):
-        while excess[i] > 0:
-            path = [i]
-            while excess[path[-1]] >= 0:
-                path.append(next(j for j in range(n) if flow.get((path[-1], j))))
-            arcs = list(zip(path, path[1:]))
-            u = path[-1]
-            delta = min(excess[i], -excess[u], *(flow[a] for a in arcs))
-            for a in arcs:
-                flow[a] -= delta
-            excess[i] -= delta
-            excess[u] += delta
-            key = (domain[i], domain[u])
-            entries[key] = entries.get(key, 0) + Fraction(delta, scale)
-    plan = TransportPlan(entries, m1, m2)
-
-    # Certify the solve against `dist`, the metric its network was built on.
-    violations = _duality_violations(plan, potential, dist, distance)
+    f = {v: base - p[i] for i, v in enumerate(domain)}
+    units = _coupling(net, domain, source, target)
+    # Certify the solve at its scale against `dist`, the metric its network
+    # was built on, before any mass becomes a Fraction.
+    violations = _duality_violations(units, source, target, f, dist, scale, total)
     if violations:
         raise InternalConsistencyError("; ".join(violations))
-    return TransportResult(distance, plan, potential)
+    plan = TransportPlan({key: Fraction(c, scale) for key, c in units.items()}, m1, m2)
+    return TransportResult(Fraction(total, scale), plan, DualPotential(f, anchor))
 
 
 def wasserstein(g: Graph, m1: Measure, m2: Measure) -> tuple[Fraction, TransportPlan]:
@@ -429,43 +481,79 @@ class DualityCheck:
 
 
 def verify_duality(plan: TransportPlan, potential: DualPotential, g: Graph) -> DualityCheck:
-    """True iff plan and potential are feasible and their values agree exactly."""
+    """True iff plan and potential are feasible and their values agree exactly.
+
+    The plan is scaled to integers (`_plan_at_scale`) and checked by the
+    certificate that `optimal_transport` runs.
+    """
+    units, source, target, scale = _plan_at_scale(plan)
     vertices = set(potential.values).union(*plan.entries)
-    problems = _duality_violations(plan, potential, _domain_metric(g, sorted(vertices)))
+    problems = _duality_violations(units, source, target, potential.values,
+                                   _domain_metric(g, sorted(vertices)), scale)
     return DualityCheck(not problems, tuple(problems))
 
 
-def _duality_violations(
+def _plan_at_scale(
     plan: TransportPlan,
-    potential: DualPotential,
-    dist: Mapping[tuple[int, int], int],
-    distance: Fraction | None = None,
-) -> list[str]:
-    """Every way plan and potential fail to certify each other under `dist`.
+) -> tuple[dict[tuple[int, int], int], dict[int, int], dict[int, int], int]:
+    """Plan entries, source and target masses times `scale`, and `scale`.
 
-    `dist` must hold d(u, v) for every pair of the potential's domain and for
-    every plan entry. If a `distance` is given, the dual value must equal it.
+    `scale` is the lcm of the denominators of the entries and of both measures.
+    """
+    m1, m2 = plan.source, plan.target
+    entries = {key: _frac(mass) for key, mass in plan.entries.items()}
+    scale = lcm(*(mass.denominator for mass in entries.values()),
+                *(m.denominator for _, m in m1.items()),
+                *(m.denominator for _, m in m2.items()))
+    units = {key: mass.numerator * (scale // mass.denominator) for key, mass in entries.items()}
+    return units, _scaled(m1, scale), _scaled(m2, scale), scale
+
+
+def _duality_violations(
+    units: Mapping[tuple[int, int], int],
+    source: Mapping[int, int],
+    target: Mapping[int, int],
+    f: Mapping[int, int],
+    dist: Mapping[tuple[int, int], int],
+    scale: int,
+    distance: int | None = None,
+) -> list[str]:
+    """Every way a plan and a potential fail to certify each other under `dist`.
+
+    Everything is at one integer scale: `units` are the plan entries times
+    `scale`, `source` and `target` the masses of the two measures times
+    `scale` (support only), and `distance`, if given, the reported distance
+    times `scale`, which the dual value must equal. `f` is the potential.
+    `dist` must hold d(u, v) for every pair of f's domain, in sorted order,
+    and for every plan entry. Values enter a Fraction only in a message.
     """
     problems = []
-    m1, m2 = plan.source, plan.target
-    for (u, v), mass in plan.entries.items():
-        if mass < 0:
+    rows: dict[int, int] = {}
+    cols: dict[int, int] = {}
+    for (u, v), c in units.items():
+        if c < 0:
             problems.append(f"negative plan entry at ({u}, {v})")
-    if plan.row_sums() != dict(m1.items()):
+        rows[u] = rows.get(u, 0) + c
+        cols[v] = cols.get(v, 0) + c
+    if rows != source:
         problems.append("plan row sums do not equal the source measure")
-    if plan.column_sums() != dict(m2.items()):
+    if cols != target:
         problems.append("plan column sums do not equal the target measure")
-    domain = sorted(potential.values)
-    missing = (set(m1.support()) | set(m2.support())) - set(domain)
+    missing = (source.keys() | target.keys()) - f.keys()
     if missing:
         problems.append(f"potential undefined on support vertices {sorted(missing)}")
-    else:
+        return problems
+    pairs = dist
+    if len(dist) != len(f) ** 2:  # dist reaches past f's domain
+        domain = sorted(f)
         pairs = {(u, v): dist[u, v] for u in domain for v in domain}
-        problems += _potential_violations(potential.values, pairs)
-        primal = sum((mass * dist[u, v] for (u, v), mass in plan.entries.items()), Fraction(0))
-        dual = potential.pairing(m1, m2)
-        if primal != dual:
-            problems.append(f"duality gap: primal cost {primal} != dual value {dual}")
-        if distance is not None and dual != distance:
-            problems.append("dual value disagrees with the reported distance")
+    problems += _potential_violations(f, pairs)
+    primal = sum(c * dist[key] for key, c in units.items())
+    dual = (sum(f[v] * c for v, c in source.items())
+            - sum(f[v] * c for v, c in target.items()))
+    if primal != dual:
+        problems.append(f"duality gap: primal cost {primal / Fraction(scale)} "
+                        f"!= dual value {dual / Fraction(scale)}")
+    if distance is not None and dual != distance:
+        problems.append("dual value disagrees with the reported distance")
     return problems

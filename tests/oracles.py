@@ -220,3 +220,50 @@ def oracle_lemma4_failures(g: Graph) -> set[tuple[int, int, tuple[int, ...]]]:
                 if not oracle_lemma4(g, x, y, subset)["holds"]:
                     failures.add((x, y, subset))
     return failures
+
+
+def oracle_duality_violations(plan, potential, dist, distance=None) -> list[str]:
+    """The transport certificate in `Fraction` arithmetic, message for message.
+
+    The reference for `transport._duality_violations`, which runs the same
+    tests on integers at the solve's scale. `plan` is a TransportPlan,
+    `potential` a DualPotential, `dist` holds d(u, v) for every pair of the
+    potential's domain and for every plan entry, and `distance`, if given,
+    is the distance the dual value must equal.
+    """
+    problems = []
+    m1, m2 = plan.source, plan.target
+    rows: dict[int, Fraction] = {}
+    cols: dict[int, Fraction] = {}
+    for (u, v), mass in plan.entries.items():
+        if mass < 0:
+            problems.append(f"negative plan entry at ({u}, {v})")
+        rows[u] = rows.get(u, Fraction(0)) + mass
+        cols[v] = cols.get(v, Fraction(0)) + mass
+    if rows != dict(m1.items()):
+        problems.append("plan row sums do not equal the source measure")
+    if cols != dict(m2.items()):
+        problems.append("plan column sums do not equal the target measure")
+    f = potential.values
+    domain = sorted(f)
+    missing = (set(m1.support()) | set(m2.support())) - set(domain)
+    if missing:
+        problems.append(f"potential undefined on support vertices {sorted(missing)}")
+        return problems
+    odd = [v for v, fv in f.items() if not isinstance(fv, int)]
+    if odd:
+        problems.append(f"potential value at {odd[0]} is not an integer")
+    for u in domain:
+        lifted = [v for v in domain if f[v] - f[u] > dist[u, v]]
+        if lifted:
+            v = lifted[0]
+            problems.append(f"potential violates 1-Lipschitz on ({u}, {v}): "
+                            f"{f[v]} - {f[u]} > {dist[u, v]}")
+            break
+    primal = sum((mass * dist[u, v] for (u, v), mass in plan.entries.items()), Fraction(0))
+    dual = sum((fv * (m1[v] - m2[v]) for v, fv in f.items()), Fraction(0))
+    if primal != dual:
+        problems.append(f"duality gap: primal cost {primal} != dual value {dual}")
+    if distance is not None and dual != distance:
+        problems.append("dual value disagrees with the reported distance")
+    return problems

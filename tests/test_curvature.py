@@ -164,22 +164,26 @@ def test_program_value_certifies_its_point(c6):
     ids=["c8", "wheel7", "q3", "k5", "random19", "random38"],
 )
 def test_spanning_arcs_close_to_the_metric(g, monkeypatch):
-    added = []
-    add_edge = _MinCostFlow.add_edge
+    # The arcs are read back from the network `_metric_network` returns:
+    # arc a (even) runs from to[a ^ 1] to to[a] at cost[a].
+    networks = []
+    metric_network = curvature._metric_network
 
-    def record(self, u, v, cap, cost):
-        added.append((u, v, cost))
-        return add_edge(self, u, v, cap, cost)
+    def record(*args):
+        networks.append(metric_network(*args))
+        return networks[-1]
 
-    monkeypatch.setattr(_MinCostFlow, "add_edge", record)
+    monkeypatch.setattr(curvature, "_metric_network", record)
     checked = set()
     for x, y in combinations(g.vertices, 2):
         prog = build_lipschitz_program(g, x, y)
         if prog.d_xy > 4:
             continue
         checked.add(prog.d_xy)
-        added.clear()
+        networks.clear()
         prog.solve()
+        (net, _), = networks
+        added = [(net.to[a ^ 1], net.to[a], net.cost[a]) for a in range(0, len(net.to), 2)]
         n = len(prog.domain)
         closure = [[0 if i == j else float("inf") for j in range(n)] for i in range(n)]
         arcs = [(u, v, c) for u, v, c in added if u < n and v < n and c > 0]

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from riccikit import families
+from riccikit import families, transport
 from riccikit.curvature import build_lipschitz_program
 from riccikit.graphs import Graph, bfs_distances
 from riccikit.transport import (
@@ -15,6 +15,7 @@ from riccikit.transport import (
     TransportPlan,
     _domain_metric,
     _duality_violations,
+    _plan_at_scale,
     kantorovich_potential,
     lazy_measure,
     optimal_transport,
@@ -22,10 +23,17 @@ from riccikit.transport import (
     wasserstein,
 )
 
-from oracles import oracle_wasserstein, random_connected_graph
+from oracles import oracle_duality_violations, oracle_wasserstein, random_connected_graph
 
 
 half = Fraction(1, 2)
+
+
+def certify(plan, potential, dist, distance=None):
+    """The integer certificate on a Fraction plan, scaled as verify_duality scales it."""
+    units, source, target, scale = _plan_at_scale(plan)
+    scaled = None if distance is None else distance * scale
+    return _duality_violations(units, source, target, potential.values, dist, scale, scaled)
 
 
 def test_measure_validation():
@@ -138,11 +146,11 @@ def test_self_check_rejects_a_wrong_distance_or_potential(k3):
     result = optimal_transport(k3, m1, m2)
     plan, distance = result.plan, result.distance
     dist = {(u, v): int(u != v) for u in k3.vertices for v in k3.vertices}  # K3's metric
-    assert _duality_violations(plan, result.potential, dist, distance) == []
-    wrong = _duality_violations(plan, result.potential, dist, distance + 1)
+    assert certify(plan, result.potential, dist, distance) == []
+    wrong = certify(plan, result.potential, dist, distance + 1)
     assert any("reported distance" in p for p in wrong)
     zero_pot = DualPotential({v: 0 for v in k3.vertices}, anchor=0)
-    assert any("duality gap" in p for p in _duality_violations(plan, zero_pot, dist, distance))
+    assert any("duality gap" in p for p in certify(plan, zero_pot, dist, distance))
 
 
 def test_verify_duality_flags_bad_marginals(k3):
@@ -156,6 +164,19 @@ def test_verify_duality_flags_bad_marginals(k3):
     check = verify_duality(doctored, result.potential, k3)
     assert not check
     assert any("row sums" in v or "column sums" in v for v in check.violations)
+
+
+def test_verify_duality_takes_int_and_float_entries(path3):
+    # Entries are scaled exactly, whatever number type holds them.
+    m1, m2 = Measure({0: half, 1: half}), Measure({2: 1})
+    pot = DualPotential({0: 2, 1: 1, 2: 0}, anchor=0)
+    assert verify_duality(TransportPlan({(0, 2): 0.5, (1, 2): half}, m1, m2), pot, path3)
+    point = TransportPlan({(0, 2): 1}, Measure({0: 1}), m2)
+    assert verify_duality(point, pot, path3)
+    check = verify_duality(TransportPlan({(0, 2): 0.25, (1, 2): half}, m1, m2), pot, path3)
+    assert check.violations == ("plan row sums do not equal the source measure",
+                                "plan column sums do not equal the target measure",
+                                "duality gap: primal cost 1 != dual value 3/2")
 
 
 def test_verify_duality_flags_non_lipschitz(path3):
@@ -277,14 +298,16 @@ def _tied_measure(rng, support):
 def test_transport_arcs_close_to_the_metric(monkeypatch):
     # Transport is a transshipment on D = supp m1 | supp m2 over the spanning
     # arcs of the metric network: their closure must be the graph metric on D.
-    added = []
-    add_edge = _MinCostFlow.add_edge
+    # The arcs are read back from the network `_metric_network` returns:
+    # arc a (even) runs from to[a ^ 1] to to[a] at cost[a].
+    networks = []
+    metric_network = transport._metric_network
 
-    def record(self, u, v, cap, cost):
-        added.append((u, v, cost))
-        return add_edge(self, u, v, cap, cost)
+    def record(*args):
+        networks.append(metric_network(*args))
+        return networks[-1]
 
-    monkeypatch.setattr(_MinCostFlow, "add_edge", record)
+    monkeypatch.setattr(transport, "_metric_network", record)
     rng = random.Random(4099)
     checked = 0
     for _ in range(25):
@@ -293,8 +316,10 @@ def test_transport_arcs_close_to_the_metric(monkeypatch):
         if len(verts) < 3:
             continue
         m1, m2 = (_tied_measure(rng, rng.sample(verts, rng.randint(1, min(4, len(verts))))) for _ in range(2))
-        added.clear()
+        networks.clear()
         result = optimal_transport(g, m1, m2)
+        (net, _), = networks
+        added = [(net.to[a ^ 1], net.to[a], net.cost[a]) for a in range(0, len(net.to), 2)]
         domain = sorted(set(m1.support()) | set(m2.support()))
         dist = {u: bfs_distances(g, u) for u in domain}
         n = len(domain)
@@ -450,8 +475,6 @@ def test_flow_engine_matches_networkx_with_a_negative_arc(monkeypatch):
 
 
 def test_plan_cost_runs_one_bfs_per_source(c6, monkeypatch):
-    import riccikit.transport as transport
-
     sources = []
 
     def counted(g, u):
@@ -481,18 +504,135 @@ def test_duality_core_flags_a_corrupted_metric_or_plan():
             continue
         plan, pot = result.plan, result.potential
         dist = _domain_metric(g, sorted(pot.values))
-        assert _duality_violations(plan, pot, dist) == []
+        assert certify(plan, pot, dist) == []
         moved = [(u, v) for (u, v) in plan.entries if u != v]
         tight = [(u, v) for (u, v), d in dist.items() if d and pot[v] - pot[u] == d]
         for (u, v), problem in [(moved[0], "duality gap"), (tight[0], "1-Lipschitz")]:
             step = 1 if problem == "duality gap" else -1
             corrupt = dict(dist)
             corrupt[u, v] += step
-            assert any(problem in p for p in _duality_violations(plan, pot, corrupt))
+            assert any(problem in p for p in certify(plan, pot, corrupt))
         key = next(iter(plan.entries))
         for mass, problem in [(plan.entries[key] / 2, "sums"), (-plan.entries[key], "negative")]:
             bad_plan = TransportPlan({**plan.entries, key: mass}, m1, m2)
-            violations = _duality_violations(bad_plan, pot, dist)
+            violations = certify(bad_plan, pot, dist)
             assert any(problem in p for p in violations)
             assert verify_duality(bad_plan, pot, g).violations == tuple(violations)
         checked += 1
+
+
+def test_measure_accepts_int_str_and_fraction_masses():
+    assert dict(Measure({0: 1}).items()) == {0: Fraction(1)}
+    mixed = Measure({2: "1/3", 0: Fraction(1, 6), 1: "0.5", 3: 0})
+    assert mixed.support() == (0, 1, 2)
+    assert dict(mixed.items()) == {0: Fraction(1, 6), 1: half, 2: Fraction(1, 3)}
+    assert all(isinstance(m, Fraction) for _, m in mixed.items())
+    assert Measure({"4": "1"}).support() == (4,)
+
+
+def test_measure_messages_are_exact():
+    with pytest.raises(TransportError) as info:
+        Measure({0: Fraction(1, 3), 1: "1/3"})
+    assert str(info.value) == "masses sum to 2/3, expected 1"
+    with pytest.raises(TransportError) as info:
+        Measure({0: 2, 1: Fraction(-1, 2), 2: "-1/2"})
+    assert str(info.value) == "negative mass -1/2 at vertex 1"
+    with pytest.raises(TransportError) as info:
+        Measure({})
+    assert str(info.value) == "masses sum to 0, expected 1"
+    with pytest.raises(TransportError) as info:
+        Measure({0: 1, 1: "1/6", 2: 0})
+    assert str(info.value) == "masses sum to 7/6, expected 1"
+
+
+def _corruptions(plan, pot, dist):
+    """(plan, potential, dist) triples that break the certificate one way each."""
+    m1, m2 = plan.source, plan.target
+    entries, f = plan.entries, pot.values
+    key = next(k for k in entries if k[0] != k[1])
+    domain = sorted(f)
+    tight = next((u, v) for u in domain for v in domain if u != v and f[v] - f[u] == dist[u, v])
+    low = min(f, key=f.get)
+    yield TransportPlan({**entries, key: entries[key] / 2}, m1, m2), pot, dist
+    yield TransportPlan({**entries, key: -entries[key]}, m1, m2), pot, dist
+    for (u, v), step in [(key, 1), (key, -1), (tight, -1)]:
+        yield plan, pot, {**dist, (u, v): dist[u, v] + step}
+    yield plan, DualPotential({**f, low: f[low] + 3}, pot.anchor), dist
+    missing = m2.support()[0]
+    yield plan, DualPotential({v: fv for v, fv in f.items() if v != missing}, pot.anchor), dist
+    yield plan, DualPotential({**f, low: f[low] + half}, pot.anchor), dist
+    yield plan, DualPotential({**f, low: Fraction(f[low])}, pot.anchor), dist
+
+
+def test_integer_certificate_matches_the_fraction_reference():
+    # Differential test: the integer core at the plan's scale must return the
+    # very list the Fraction reference returns, message for message.
+    rng = random.Random(1212)
+    instances = corrupted = outside = 0
+    while instances < 30:
+        g = random_connected_graph(rng, n_max=10)
+        if g.vertex_count < 3:
+            continue
+        x, y = rng.sample(g.vertices, 2)
+        alpha = rng.choice((Fraction(0), Fraction(1, 3), half, Fraction(2, 7)))
+        result = optimal_transport(g, lazy_measure(g, x, alpha), lazy_measure(g, y, alpha))
+        if not result.distance:
+            continue
+        plan, pot, distance = result.plan, result.potential, result.distance
+        dist = _domain_metric(g, sorted(pot.values))
+        assert certify(plan, pot, dist, distance) == oracle_duality_violations(
+            plan, pot, dist, distance) == []
+        wrong = distance + Fraction(1, 12)
+        assert certify(plan, pot, dist, wrong) == oracle_duality_violations(plan, pot, dist, wrong)
+        for bad_plan, bad_pot, bad_dist in _corruptions(plan, pot, dist):
+            reference = oracle_duality_violations(bad_plan, bad_pot, bad_dist)
+            assert reference, "each corruption breaks the certificate"
+            assert certify(bad_plan, bad_pot, bad_dist) == reference
+            if bad_dist is dist:  # the public check builds the metric itself
+                vertices = set(bad_pot.values).union(*bad_plan.entries)
+                full = _domain_metric(g, sorted(vertices))
+                assert verify_duality(bad_plan, bad_pot, g).violations == tuple(
+                    oracle_duality_violations(bad_plan, bad_pot, full))
+            corrupted += 1
+        # An entry to a vertex off the supports and the potential: the metric
+        # verify_duality builds then reaches past the potential's domain.
+        far = [v for v in g.vertices if v not in pot.values]
+        if far:
+            key = next(k for k in plan.entries if k[0] != k[1])
+            bad_plan = TransportPlan({**plan.entries, (key[0], far[0]): half}, plan.source,
+                                     plan.target)
+            full = _domain_metric(g, sorted(set(pot.values) | {far[0]}))
+            reference = oracle_duality_violations(bad_plan, pot, full)
+            assert "plan column sums do not equal the target measure" in reference
+            assert verify_duality(bad_plan, pot, g).violations == tuple(reference)
+            outside += 1
+        instances += 1
+    assert corrupted == 30 * 9 and outside >= 10
+
+
+@pytest.mark.parametrize("fault", ["swap targets", "drop a unit"])
+def test_a_corrupted_decomposition_is_an_internal_fault(fault, monkeypatch):
+    # The coupling is certified at the solve's scale before it is returned:
+    # a decomposition that keeps the marginals but not the cost, or loses
+    # mass, must raise rather than come back as an answer.
+    coupling = transport._coupling
+
+    def corrupt(*args):
+        units = coupling(*args)
+        moved = [k for k in units if k[0] != k[1]]
+        if fault == "drop a unit":
+            units[moved[0]] -= 1
+            return units
+        (a, b), (c, d) = moved[0], next(k for k in moved if k[0] != moved[0][0] and k[1] != moved[0][1])
+        step = min(units[a, b], units[c, d])
+        for key, change in [((a, b), -step), ((c, d), -step), ((a, d), step), ((c, b), step)]:
+            units[key] = units.get(key, 0) + change
+        return units
+
+    monkeypatch.setattr(transport, "_coupling", corrupt)
+    g, _ = families.cycle(8)
+    m1 = Measure({0: half, 1: half})
+    m2 = Measure({4: half, 6: half})
+    with pytest.raises(InternalConsistencyError,
+                       match="duality gap" if fault == "swap targets" else "row sums"):
+        optimal_transport(g, m1, m2)
