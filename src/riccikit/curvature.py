@@ -93,7 +93,7 @@ class LipschitzProgram:
         supply = {u: c.numerator * (scale // c.denominator) for u, c in self.objective.items()}
         net, amount = _metric_network(domain, dist, supply)
         n, ix = len(domain), domain.index(x)
-        net.add_edge(domain.index(y), ix, amount + 1, -d_xy)
+        net.add_edges([domain.index(y)], [ix], [amount + 1], [-d_xy])
         # By the triangle inequality these price every arc, y -> x included, at >= 0.
         p = [dist[x, u] for u in domain] + [d_xy + 1, 0]
         value = Fraction(-net.solve(n, n + 1, amount, p), scale * d_xy)

@@ -14,9 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import lcm
-from operator import itemgetter
 from typing import Mapping, Sequence
 
 from .graphs import Graph, bfs_distances
@@ -168,22 +166,15 @@ class _MinCostFlow:
         self.cap: list[int] = []
         self.cost: list[int] = []
 
-    def add_edge(self, u: int, v: int, cap: int, cost: int) -> int:
-        arc = len(self.to)
-        self.adj[u].append(arc)
-        self.to.append(v)
-        self.cap.append(cap)
-        self.cost.append(cost)
-        self.adj[v].append(arc + 1)
-        self.to.append(u)
-        self.cap.append(0)
-        self.cost.append(-cost)
-        return arc
-
     def add_edges(
         self, tails: Sequence[int], heads: Sequence[int], caps: Sequence[int], costs: Sequence[int]
     ) -> None:
-        """`add_edge` on each arc in turn, with the arc lists grown in one step."""
+        """Add arcs tails[k] -> heads[k] of capacity caps[k] and cost costs[k].
+
+        Arc k gets the next even id a, and its residual reverse a + 1 (no
+        capacity, cost -costs[k]), so `a ^ 1` flips an arc; each id joins
+        the adjacency list of its tail in order.
+        """
         first, k = len(self.to), len(heads)
         to, cap, cost = [0] * (2 * k), [0] * (2 * k), [0] * (2 * k)
         to[::2], to[1::2] = heads, tails
@@ -354,21 +345,18 @@ def _metric_network(
     heads = [node[u] if c > 0 else n + 1 for u, c in supply.items() if c]
     caps = [abs(c) for c in supply.values() if c]
     costs = [0] * len(caps)
-    # Pair k = i * n + j is (domain[i], domain[j]): row i, column j.
-    flat = list(map(dist.__getitem__, product(domain, repeat=2)))
-    rows = [flat[k:k + n] for k in range(0, n * n, n)]
-    cols = list(zip(*rows))
-    # around[i](cols[j]) holds d(w, v) for u = domain[i], v = domain[j] and
-    # each G-neighbour w of u in the domain. Index i pads it to a tuple of
-    # two or more; d(u, v) itself is never d(u, v) - 1.
-    around = [itemgetter(i, i, *[j for j, d in enumerate(row) if d == 1])
-              for i, row in enumerate(rows)]
-    kept = [i * n + j for i, row in enumerate(rows) for j, d in enumerate(row)
-            if d == 1 or j != i and d - 1 not in around[i](cols[j])]
-    tails += [k // n for k in kept]
-    heads += [k % n for k in kept]
-    caps += [amount + 1] * len(kept)
-    costs += [flat[k] for k in kept]
+    rows = [[dist[u, v] for v in domain] for u in domain]
+    for i, row in enumerate(rows):
+        # around[j] holds d(w, domain[j]) for each G-neighbour w of domain[i]
+        # in the domain. A row of distances 0 and 1 keeps its arcs without it.
+        near = [r for r, d in zip(rows, row) if d == 1]
+        around = list(zip(*near)) if near and max(row) > 1 else [()] * n
+        for j, d in enumerate(row):
+            if d == 1 or i != j and d - 1 not in around[j]:
+                tails.append(i)
+                heads.append(j)
+                costs.append(d)
+    caps += [amount + 1] * (len(heads) - len(caps))
     net = _MinCostFlow(n + 2)
     net.add_edges(tails, heads, caps, costs)
     return net, amount
@@ -484,24 +472,29 @@ def verify_duality(plan: TransportPlan, potential: DualPotential, g: Graph) -> D
     """True iff plan and potential are feasible and their values agree exactly.
 
     The plan is scaled to integers (`_plan_at_scale`) and checked by the
-    certificate that `optimal_transport` runs.
+    certificate that `optimal_transport` runs. An entry that is not a finite
+    number is reported and left out of the scaled plan.
     """
-    units, source, target, scale = _plan_at_scale(plan)
+    entries, problems = {}, []
+    for (u, v), mass in plan.entries.items():
+        try:
+            entries[u, v] = _frac(mass)
+        except (ValueError, OverflowError):  # a NaN or infinite float
+            problems.append(f"non-finite plan entry at ({u}, {v})")
+    units, source, target, scale = _plan_at_scale(entries, plan.source, plan.target)
     vertices = set(potential.values).union(*plan.entries)
-    problems = _duality_violations(units, source, target, potential.values,
-                                   _domain_metric(g, sorted(vertices)), scale)
+    problems += _duality_violations(units, source, target, potential.values,
+                                    _domain_metric(g, sorted(vertices)), scale)
     return DualityCheck(not problems, tuple(problems))
 
 
 def _plan_at_scale(
-    plan: TransportPlan,
+    entries: Mapping[tuple[int, int], Fraction], m1: Measure, m2: Measure
 ) -> tuple[dict[tuple[int, int], int], dict[int, int], dict[int, int], int]:
-    """Plan entries, source and target masses times `scale`, and `scale`.
+    """Plan entries, m1 and m2 masses times `scale`, and `scale`.
 
     `scale` is the lcm of the denominators of the entries and of both measures.
     """
-    m1, m2 = plan.source, plan.target
-    entries = {key: _frac(mass) for key, mass in plan.entries.items()}
     scale = lcm(*(mass.denominator for mass in entries.values()),
                 *(m.denominator for _, m in m1.items()),
                 *(m.denominator for _, m in m2.items()))

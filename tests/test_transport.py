@@ -31,7 +31,7 @@ half = Fraction(1, 2)
 
 def certify(plan, potential, dist, distance=None):
     """The integer certificate on a Fraction plan, scaled as verify_duality scales it."""
-    units, source, target, scale = _plan_at_scale(plan)
+    units, source, target, scale = _plan_at_scale(plan.entries, plan.source, plan.target)
     scaled = None if distance is None else distance * scale
     return _duality_violations(units, source, target, potential.values, dist, scale, scaled)
 
@@ -177,6 +177,13 @@ def test_verify_duality_takes_int_and_float_entries(path3):
     assert check.violations == ("plan row sums do not equal the source measure",
                                 "plan column sums do not equal the target measure",
                                 "duality gap: primal cost 1 != dual value 3/2")
+    # A NaN or infinite entry is reported, not raised, and left out of the plan.
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        check = verify_duality(TransportPlan({(0, 2): bad, (1, 2): half}, m1, m2), pot, path3)
+        assert check.violations == ("non-finite plan entry at (0, 2)",
+                                    "plan row sums do not equal the source measure",
+                                    "plan column sums do not equal the target measure",
+                                    "duality gap: primal cost 1/2 != dual value 3/2")
 
 
 def test_verify_duality_flags_non_lipschitz(path3):
@@ -403,8 +410,7 @@ def test_potentials_pricing_an_arc_below_zero_are_an_internal_fault(monkeypatch)
 
     monkeypatch.setattr(_MinCostFlow, "_admissible_flow", count)
     net = _MinCostFlow(3)
-    net.add_edge(0, 1, 1, 1)
-    net.add_edge(1, 2, 1, 1)
+    net.add_edges([0, 1], [1, 2], [1, 1], [1, 1])  # 0 -> 1 -> 2, capacity 1, cost 1
     with pytest.raises(InternalConsistencyError, match="reduced cost -4"):
         net.solve(0, 2, 1, [0, 5, 0])  # prices 0 -> 1 at 1 + 0 - 5
     assert len(calls) == 1
@@ -463,7 +469,7 @@ def test_flow_engine_matches_networkx_with_a_negative_arc(monkeypatch):
             else:
                 cost = max(p[v] - p[u], 0) + rng.randint(0, 3)
             cap = rng.randint(1, 4)
-            net.add_edge(u, v, cap, cost)
+            net.add_edges([u], [v], [cap], [cost])
             oracle.add_edge(u, v, capacity=cap, weight=cost)
         amount = nx.maximum_flow_value(oracle, s, t)
         if not amount:
