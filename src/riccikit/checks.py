@@ -30,7 +30,7 @@ from .curvature import (
 )
 from .graphs import Graph, RotationSystem
 from .structure import degree_audit, instance_to_json_dict, lemma4_sweep
-from .transport import InternalConsistencyError, verify_duality
+from .transport import InternalConsistencyError, lazy_measure, verify_duality
 
 _EDGE_SAMPLE = 12
 _PAIR_LIMIT = 10  # vertices; all-pairs curvature beyond this is out of desk range
@@ -273,7 +273,9 @@ def run_checks(
     if unknown:
         raise ValueError(f"unknown check {unknown[0]!r}")
     report = curvature_report(g, rot=rot, mode="lly")
-    transport = cache(partial(_lazy_transport, g))  # one solve per (x, y, alpha)
+    # One measure per (v, alpha) and one solve per (x, y, alpha).
+    measure = cache(partial(lazy_measure, g))
+    transport = cache(partial(_lazy_transport, g, measure=measure))
     results = []
     for name in ALL_CHECKS:
         if name not in selected:

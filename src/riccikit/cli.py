@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from fractions import Fraction
@@ -101,7 +100,6 @@ def cmd_curvature(args) -> int:
         mode=args.mode,
         alpha=alpha,
         include_zero=args.with_zero,
-        jobs=args.jobs,
     )
     if args.out and args.out.endswith(".csv"):
         _write_text(args.out, report_to_csv(report))
@@ -168,8 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
     curv.add_argument("--with-zero", action="store_true",
                       help="also report the lazy lower bound per edge")
     curv.add_argument("--out", help="output file; .csv suffix selects CSV")
-    curv.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                      help="parallel workers for per-edge work")
+    curv.add_argument("--jobs", type=int, default=1,
+                      help="accepted and checked (>= 1); reports are computed serially")
     curv.set_defaults(func=cmd_curvature)
 
     tr = sub.add_parser("transport", help="optimal transport between two lazy measures")

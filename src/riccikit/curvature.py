@@ -25,8 +25,6 @@ reference simplex in the test suite cross-check this.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -37,8 +35,8 @@ from .graphs import (
     Face,
     Graph,
     RotationSystem,
-    bfs_distances,
     diameter,
+    distances_to,
     trace_faces,
     validate_embedding,
 )
@@ -130,9 +128,13 @@ def kappa_lly(g: Graph, x: int, y: int) -> Fraction:
     return value
 
 
-def _lazy_transport(g: Graph, x: int, y: int, alpha: Fraction) -> TransportResult:
-    """Exact transport between the alpha-lazy walk measures at x and y."""
-    return optimal_transport(g, lazy_measure(g, x, alpha), lazy_measure(g, y, alpha))
+def _lazy_transport(g: Graph, x: int, y: int, alpha, measure=None) -> TransportResult:
+    """Exact transport between the alpha-lazy walk measures at x and y.
+
+    `measure(v, alpha)` is `lazy_measure` on g, or a memo such as `run_checks` keeps.
+    """
+    measure = measure or partial(lazy_measure, g)
+    return optimal_transport(g, measure(x, alpha), measure(y, alpha))
 
 
 def _kappa_alpha(g: Graph, x: int, y: int, alpha, transport) -> Fraction:
@@ -144,7 +146,7 @@ def _kappa_alpha(g: Graph, x: int, y: int, alpha, transport) -> Fraction:
     if x == y:
         raise ValueError("curvature requires two distinct vertices")
     alpha = _frac(alpha)
-    d = 1 if g.has_edge(x, y) else bfs_distances(g, x)[y]
+    d = 1 if g.has_edge(x, y) else distances_to(g, x, (y,))[y]
     return 1 - transport(x, y, alpha).distance / d
 
 
@@ -275,22 +277,12 @@ _EDGE_MODES = ("lly", "alpha", "zero")
 _MODES = _EDGE_MODES + ("comb",)
 
 
-def _edge_value(g: Graph, edge: tuple[int, int], mode: str, alpha) -> EdgeCurvature:
-    u, v = edge
-    if mode == "lly":
-        return EdgeCurvature(u, v, kappa_lly(g, u, v))
-    if mode == "alpha":
-        return EdgeCurvature(u, v, kappa_alpha(g, u, v, alpha))
-    kz = kappa_zero(g, u, v)
-    return EdgeCurvature(u, v, kz, kz)
-
-
-def _edge_task(args) -> EdgeCurvature:
-    g, edge, mode, alpha, include_zero = args
-    rec = _edge_value(g, edge, mode, alpha)
-    if include_zero and rec.kappa_zero is None:
-        rec = EdgeCurvature(rec.u, rec.v, rec.kappa, kappa_zero(g, rec.u, rec.v))
-    return rec
+def _edge_value(g: Graph, u: int, v: int, mode: str, alpha, include_zero: bool) -> EdgeCurvature:
+    if mode == "zero":
+        kz = kappa_zero(g, u, v)
+        return EdgeCurvature(u, v, kz, kz)
+    kappa = kappa_lly(g, u, v) if mode == "lly" else kappa_alpha(g, u, v, alpha)
+    return EdgeCurvature(u, v, kappa, kappa_zero(g, u, v) if include_zero else None)
 
 
 def curvature_report(
@@ -299,13 +291,10 @@ def curvature_report(
     mode: str = "lly",
     alpha=None,
     include_zero: bool = False,
-    jobs: int = 1,
 ) -> CurvatureReport:
     """Batch curvature over all edges (and vertices when an embedding is given).
 
-    Edge work may fan out to at most `jobs` worker processes, never more than
-    the edges or the CPUs; results are merged in sorted edge order so the
-    report is identical at any parallelism width.
+    Edges are solved one by one, in sorted order.
     """
     if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -337,15 +326,8 @@ def curvature_report(
 
     edge_records: tuple[EdgeCurvature, ...] = ()
     if mode in _EDGE_MODES:
-        tasks = [(g, e, mode, alpha, include_zero) for e in g.edges()]
-        workers = min(jobs, len(tasks), os.cpu_count() or 1)
-        if workers > 1:
-            chunk = max(1, len(tasks) // (workers * 4))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                records = list(pool.map(_edge_task, tasks, chunksize=chunk))
-        else:
-            records = [_edge_task(t) for t in tasks]
-        edge_records = tuple(sorted(records, key=lambda r: (r.u, r.v)))
+        edge_records = tuple(_edge_value(g, u, v, mode, alpha, include_zero)
+                             for u, v in g.edges())
 
     return CurvatureReport(
         mode=mode,

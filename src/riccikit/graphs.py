@@ -146,6 +146,31 @@ def bfs_distances(g: Graph, source: int) -> DistanceMap:
     return DistanceMap(source, dist)
 
 
+def distances_to(g: Graph, source: int, targets: Iterable[int]) -> dict[int, int]:
+    """BFS distances from source to each target and to every vertex met on the way.
+
+    The search stops once it has reached every target, inside the ball of
+    radius max d(source, target).
+    """
+    if source not in g:
+        raise GraphError(f"unknown vertex {source}")
+    dist = {source: 0}
+    left = set(targets) - {source}
+    queue = [source]
+    for u in queue:
+        if not left:
+            break
+        du = dist[u] + 1
+        for w in g.neighbors(u):
+            if w not in dist:
+                dist[w] = du
+                queue.append(w)
+                left.discard(w)
+    if left:
+        raise GraphError(f"unknown vertex {min(left)}")
+    return dist
+
+
 def ball(g: Graph, v: int, r: int) -> set[int]:
     """Closed ball {u : d(v, u) <= r}."""
     if r < 0:
@@ -175,7 +200,26 @@ def common_neighbors(g: Graph, x: int, y: int) -> set[int]:
 
 
 def diameter(g: Graph) -> int:
-    return max(bfs_distances(g, v).eccentricity for v in g.vertices)
+    """Exact diameter by iFUB (Crescenzi et al., TCS 2013) from a 4-sweep centre r.
+
+    Vertices are taken by falling BFS level from r, each eccentricity raising
+    the lower bound lb. Any pair not yet covered by lb has both ends at most
+    the current level i from r, so at most 2i apart: lb >= 2i is the answer.
+    """
+    r, lb = max(g.vertices, key=g.degree), 0
+    for _ in range(2):  # double sweeps; r moves to the middle of a longest path found
+        dist = bfs_distances(g, r).dist
+        dist = bfs_distances(g, max(dist, key=dist.get)).dist
+        r = max(dist, key=dist.get)
+        lb = max(lb, dist[r])
+        for _ in range(dist[r] - dist[r] // 2):
+            r = next(w for w in g.neighbors(r) if dist[w] == dist[r] - 1)
+    levels = bfs_distances(g, r).dist
+    for v in reversed(levels):  # BFS order, so levels fall
+        if lb >= 2 * levels[v]:
+            break
+        lb = max(lb, bfs_distances(g, v).eccentricity)
+    return lb
 
 
 class RotationSystem:

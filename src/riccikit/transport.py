@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Mapping, Sequence
 
-from .graphs import Graph, bfs_distances
+from .graphs import Graph, distances_to
 
 
 class TransportError(ValueError):
@@ -97,7 +97,8 @@ class TransportPlan:
     target: Measure
 
     def cost(self, g: Graph) -> Fraction:
-        dist = {u: bfs_distances(g, u) for u in {u for u, _ in self.entries}}
+        heads = {v for _, v in self.entries}
+        dist = {u: distances_to(g, u, heads) for u in {u for u, _ in self.entries}}
         return sum((mass * dist[u][v] for (u, v), mass in self.entries.items()), Fraction(0))
 
     def row_sums(self) -> dict[int, Fraction]:
@@ -298,8 +299,8 @@ class _MinCostFlow:
 
 
 def _domain_metric(g: Graph, domain: Sequence[int]) -> dict[tuple[int, int], int]:
-    """Graph distance d(u, v) for every ordered pair of `domain`."""
-    maps = {u: bfs_distances(g, u) for u in domain}
+    """Graph distance d(u, v) for every ordered pair of `domain`, by local searches."""
+    maps = {u: distances_to(g, u, domain) for u in domain}
     return {(u, v): maps[u][v] for u in domain for v in domain}
 
 

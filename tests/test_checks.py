@@ -101,6 +101,15 @@ def test_verify_solves_each_transport_problem_once(tmp_path, capsys, monkeypatch
     assert len(calls) == expected == 9 * 13
 
 
+def test_verify_builds_each_lazy_measure_once(tmp_path, monkeypatch):
+    g, rot = families.prism(3)
+    path = tmp_path / "prism3.rot"
+    path.write_text(to_rotation_text(rot))
+    calls = _count_calls(monkeypatch, riccikit.transport.lazy_measure)
+    assert main(["verify", "--input", str(path), "--seed", "5"]) == 0
+    assert calls and len(calls) == len(set(calls))
+
+
 def test_shared_transport_solves_change_no_result():
     rng = random.Random(8)
     for seed in range(20):

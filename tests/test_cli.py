@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import riccikit
 from riccikit.checks import ALL_CHECKS
 from riccikit.cli import main
 from riccikit import families
@@ -321,6 +326,18 @@ def test_reports_are_deterministic_across_job_counts(tmp_path, capsys):
         assert code == 0
         outputs.append(out_file.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_cli_import_loads_no_process_machinery():
+    # Reports are serial; the CLI must not pay for importing process pools.
+    src = str(Path(riccikit.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = ("import sys, riccikit.cli; "
+             "print([m for m in ('multiprocessing', 'concurrent.futures.process') "
+             "if m in sys.modules])")
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, timeout=60, check=True)
+    assert result.stdout == "[]\n"
 
 
 def test_format_flag_overrides_sniffing(tmp_path, capsys):

@@ -325,43 +325,19 @@ def test_report_comb_mode():
     assert rep.sphere is True
 
 
-def test_report_parallel_matches_serial(k3):
-    serial = curvature_report(k3, mode="lly", jobs=1)
-    parallel = curvature_report(k3, mode="lly", jobs=2)
-    assert serial == parallel
-
-
-class _SerialPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps in process."""
-
-    sizes: list = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, tasks, chunksize=1):
-        return map(fn, tasks)
-
-
-@pytest.mark.parametrize(
-    "jobs, cpus, workers",
-    [(2, 2, [2]), (1000, 3, [3]), (1000, 64, [9]), (5, None, []), (1, 8, [])],
-)
-def test_report_workers_never_exceed_jobs_edges_or_cpus(monkeypatch, jobs, cpus, workers):
-    # prism(3) has 9 edges; a fake pool, so no process starts at any width.
-    monkeypatch.setattr(curvature, "ProcessPoolExecutor", _SerialPool)
-    monkeypatch.setattr(curvature.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(_SerialPool, "sizes", [])
-    g, _ = families.prism(3)
-    report = curvature_report(g, mode="lly", jobs=jobs)
-    assert _SerialPool.sizes == workers
-    assert report == curvature_report(g, mode="lly", jobs=1)
+def test_program_build_work_is_independent_of_graph_size(monkeypatch):
+    # Edge (0, 1) has the same neighbourhood in every large prism, so building
+    # its program must touch the same vertices, however long the prism.
+    counts = []
+    for n in (100, 400):
+        g, _ = families.prism(n)
+        calls = []
+        original = Graph.neighbors
+        monkeypatch.setattr(Graph, "neighbors", lambda self, v: calls.append(v) or original(self, v))
+        build_lipschitz_program(g, 0, 1)
+        monkeypatch.undo()
+        counts.append(len(calls))
+    assert counts[0] == counts[1] < 100
 
 
 def test_report_json_and_csv_shapes():

@@ -13,6 +13,7 @@ from riccikit.graphs import (
     bfs_distances,
     common_neighbors,
     diameter,
+    distances_to,
     parse_edgelist,
     parse_graph,
     parse_rotation,
@@ -226,11 +227,6 @@ def test_serialization_round_trip():
     assert g3 == g and rot3 == rot
 
 
-def test_diameter(c6, k3):
-    assert diameter(c6) == 3
-    assert diameter(k3) == 1
-
-
 def test_distances_and_diameter_match_networkx():
     nx = pytest.importorskip("networkx")
     rng = random.Random(1618)
@@ -241,3 +237,58 @@ def test_distances_and_diameter_match_networkx():
         for v in g.vertices:
             assert bfs_distances(g, v).dist == nx.single_source_shortest_path_length(h, v)
         assert diameter(g) == nx.diameter(h)
+
+
+def test_distances_to_matches_bfs_distances_on_random_domains():
+    rng = random.Random(2718)
+    for _ in range(60):
+        g = random_connected_graph(rng, n_max=30, max_degree=4)
+        for source in rng.sample(g.vertices, min(4, g.vertex_count)):
+            full = bfs_distances(g, source).dist
+            far = max(full, key=full.get)
+            domains = [{source}, {far}, {source, far},
+                       set(rng.sample(g.vertices, rng.randint(1, g.vertex_count)))]
+            for domain in domains:
+                near = distances_to(g, source, domain)
+                assert set(domain) <= set(near)
+                assert all(full[v] == d for v, d in near.items())
+                # The search never reaches past the farthest target.
+                assert max(near.values()) == max(full[v] for v in domain | {source})
+    with pytest.raises(GraphError, match="unknown vertex 99"):
+        distances_to(g, 99, ())
+    with pytest.raises(GraphError, match="unknown vertex -1"):
+        distances_to(g, source, (source, -1))
+
+
+def _trees_with_chords(rng: random.Random, count: int):
+    """Seeded random trees on 3 to 40 vertices, each with a few extra chords."""
+    for _ in range(count):
+        n = rng.randint(3, 40)
+        edges = {(rng.randrange(i), i) for i in range(1, n)}
+        for _ in range(rng.randint(0, n // 2)):
+            u, v = sorted(rng.sample(range(n), 2))
+            edges.add((u, v))
+        yield Graph(edges)
+
+
+def test_diameter_matches_networkx_on_trees_with_chords():
+    # An off-by-one in the iFUB stop rule is wrong on only a few of these
+    # graphs, so many are checked.
+    nx = pytest.importorskip("networkx")
+    for g in _trees_with_chords(random.Random(1013), 1100):
+        assert diameter(g) == nx.diameter(nx.Graph(g.edges()))
+
+
+def test_diameter():
+    # In K4 minus the edge 2-3 both sweeps meet only pairs at distance 1, so
+    # the stop rule alone must find that 2 and 3, at level 1, are 2 apart.
+    diamond = Graph([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+    cases = [(Graph([], vertices=[0]), 0), (Graph([(0, 1)]), 1), (diamond, 2)]
+    for n in range(3, 14):
+        cases += [(families.cycle(n)[0], n // 2), (families.complete(n)[0], 1),
+                  (Graph((i, i + 1) for i in range(n - 1)), n - 1),
+                  (Graph((0, i) for i in range(1, n)), 2),
+                  (families.prism(n)[0], n // 2 + 1), (families.antiprism(n)[0], (n + 1) // 2)]
+    cases += [(families.hypercube(d)[0], d) for d in range(1, 7)]
+    for g, expected in cases:
+        assert diameter(g) == expected, g

@@ -5,7 +5,7 @@ import pytest
 
 from riccikit import families, transport
 from riccikit.curvature import build_lipschitz_program
-from riccikit.graphs import Graph, bfs_distances
+from riccikit.graphs import Graph, bfs_distances, distances_to
 from riccikit.transport import (
     DualPotential,
     InternalConsistencyError,
@@ -483,11 +483,11 @@ def test_flow_engine_matches_networkx_with_a_negative_arc(monkeypatch):
 def test_plan_cost_runs_one_bfs_per_source(c6, monkeypatch):
     sources = []
 
-    def counted(g, u):
+    def counted(g, u, targets):
         sources.append(u)
-        return bfs_distances(g, u)
+        return distances_to(g, u, targets)
 
-    monkeypatch.setattr(transport, "bfs_distances", counted)
+    monkeypatch.setattr(transport, "distances_to", counted)
     quarter = Fraction(1, 4)
     m1 = Measure({0: half, 1: half})
     m2 = Measure({2: quarter, 3: quarter, 4: quarter, 5: quarter})
