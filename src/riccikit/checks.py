@@ -114,7 +114,6 @@ def _check_integrality(g: Graph, rng: random.Random, transport, **_) -> CheckRes
 
 def _check_concavity(g: Graph, rng: random.Random, transport, **_) -> CheckResult:
     for x, y in _sample_edges(g, rng):
-        d = 1
         values = [_kappa_alpha(g, x, y, a, transport) for a in _GRID]
         for i in range(len(_GRID) - 2):
             if values[i] - 2 * values[i + 1] + values[i + 2] > 0:
@@ -124,7 +123,7 @@ def _check_concavity(g: Graph, rng: random.Random, transport, **_) -> CheckResul
                     f"edge ({x}, {y}): second difference positive at alpha {_GRID[i + 1]}",
                 )
         for a, val in zip(_GRID, values):
-            if val > 2 * (1 - a) / d:
+            if val > 2 * (1 - a):  # d(x, y) = 1 on an edge
                 return CheckResult(
                     "concavity",
                     "fail",

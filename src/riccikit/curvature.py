@@ -46,9 +46,8 @@ from .transport import (
     _frac,
     lazy_measure,
     optimal_transport,
-    wasserstein,
 )
-from .transport import _domain_metric, _metric_network, _potential_violations
+from .transport import _common_scale, _domain_metric, _metric_network, _potential_violations
 
 
 class EmbeddingError(ValueError):
@@ -87,8 +86,7 @@ class LipschitzProgram:
         that does not attain the flow's value, raises InternalConsistencyError.
         """
         x, y, d_xy, dist, domain = self.x, self.y, self.d_xy, self.dist, self.domain
-        scale = lcm(*(c.denominator for c in self.objective.values()))
-        supply = {u: c.numerator * (scale // c.denominator) for u, c in self.objective.items()}
+        scale, supply = _common_scale(self.objective)
         net, amount = _metric_network(domain, dist, supply)
         n, ix = len(domain), domain.index(x)
         net.add_edges([domain.index(y)], [ix], [amount + 1], [-d_xy])
@@ -181,8 +179,7 @@ def kappa_lly_slope(g: Graph, x: int, y: int) -> Fraction:
 def kappa_zero(g: Graph, x: int, y: int) -> Fraction:
     """Certified lower bound 1 - W(m_x^0, m_y^0) for an edge."""
     _require_edge(g, x, y)
-    w, _ = wasserstein(g, lazy_measure(g, x, 0), lazy_measure(g, y, 0))
-    return 1 - w
+    return kappa_alpha(g, x, y, 0)
 
 
 def combinatorial_curvatures(g: Graph, faces: Sequence[Face]) -> dict[int, Fraction]:

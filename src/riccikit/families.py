@@ -2,7 +2,8 @@
 
 Every generator returns (Graph, RotationSystem or None). Rotation lists are
 clockwise and realize the usual plane drawing of each family, so tracing
-them yields Euler characteristic 2.
+them yields Euler characteristic 2. An embedded family is written as its
+rotation alone; its edges are the ones the rotation lists.
 """
 
 from __future__ import annotations
@@ -11,7 +12,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Optional
 
-from .graphs import Graph, RotationSystem
+from .graphs import Graph, RotationSystem, _embedded
+
+MAX_EDGES = 10**6  # edges of the largest graph a FamilySpec builds
 
 
 def figure1() -> tuple[Graph, RotationSystem]:
@@ -22,15 +25,8 @@ def figure1() -> tuple[Graph, RotationSystem]:
     outside it by span.
     """
     z = 16
-    rim = list(range(16))
-    edges = [(z, j) for j in rim]
-    edges += [(j, (j + 1) % 16) for j in rim]
-    edges += [(j, (j + 2) % 16) for j in rim if j % 2 == 0]
-    edges += [(j, (j + 4) % 16) for j in rim if j % 4 == 0]
-    g = Graph(edges)
-
     order: dict[int, list[int]] = {z: [0] + list(range(15, 0, -1))}
-    for j in rim:
+    for j in range(16):
         cw = []
         if j % 4 == 0:
             cw.append((j - 4) % 16)
@@ -42,31 +38,26 @@ def figure1() -> tuple[Graph, RotationSystem]:
         if j % 4 == 0:
             cw.append((j + 4) % 16)
         order[j] = cw
-    return g, RotationSystem(g, order)
+    return _embedded(order)
 
 
 def cycle(n: int) -> tuple[Graph, RotationSystem]:
     if n < 3:
         raise ValueError("cycle needs n >= 3")
-    g = Graph([(i, (i + 1) % n) for i in range(n)])
-    order = {i: [(i - 1) % n, (i + 1) % n] for i in range(n)}
-    return g, RotationSystem(g, order)
+    return _embedded({i: [(i - 1) % n, (i + 1) % n] for i in range(n)})
 
 
 def complete(n: int) -> tuple[Graph, Optional[RotationSystem]]:
     if n < 2:
         raise ValueError("complete graph needs n >= 2")
-    g = Graph(combinations(range(n), 2))
     if n > 4:
-        return g, None
+        return Graph(combinations(range(n), 2)), None
     if n == 2:
-        order = {0: [1], 1: [0]}
-    elif n == 3:
-        order = {0: [2, 1], 1: [0, 2], 2: [1, 0]}
-    else:
-        # triangle 0 1 2 with 3 in the middle
-        order = {0: [2, 3, 1], 1: [0, 3, 2], 2: [1, 3, 0], 3: [2, 1, 0]}
-    return g, RotationSystem(g, order)
+        return _embedded({0: [1], 1: [0]})
+    if n == 3:
+        return _embedded({0: [2, 1], 1: [0, 2], 2: [1, 0]})
+    # triangle 0 1 2 with 3 in the middle
+    return _embedded({0: [2, 3, 1], 1: [0, 3, 2], 2: [1, 3, 0], 3: [2, 1, 0]})
 
 
 def wheel(n: int) -> tuple[Graph, RotationSystem]:
@@ -74,29 +65,27 @@ def wheel(n: int) -> tuple[Graph, RotationSystem]:
     if n < 3:
         raise ValueError("wheel needs rim size n >= 3")
     hub = n
-    edges = [(i, (i + 1) % n) for i in range(n)] + [(hub, i) for i in range(n)]
-    g = Graph(edges)
     order: dict[int, list[int]] = {hub: [0] + list(range(n - 1, 0, -1))}
     for i in range(n):
         order[i] = [(i - 1) % n, hub, (i + 1) % n]
-    return g, RotationSystem(g, order)
+    return _embedded(order)
+
+
+def _prism_order(outer: list[int], inner: list[int]) -> dict[int, list[int]]:
+    """Two concentric cycles, outer[i] matched to inner[i]."""
+    n = len(outer)
+    order = {}
+    for i in range(n):
+        order[outer[i]] = [outer[(i - 1) % n], inner[i], outer[(i + 1) % n]]
+        order[inner[i]] = [outer[i], inner[(i - 1) % n], inner[(i + 1) % n]]
+    return order
 
 
 def prism(n: int) -> tuple[Graph, RotationSystem]:
     """Two concentric n-cycles 0..n-1 (outer) and n..2n-1 (inner), matched up."""
     if n < 3:
         raise ValueError("prism needs n >= 3")
-    outer = list(range(n))
-    inner = [n + i for i in range(n)]
-    edges = [(outer[i], outer[(i + 1) % n]) for i in range(n)]
-    edges += [(inner[i], inner[(i + 1) % n]) for i in range(n)]
-    edges += [(outer[i], inner[i]) for i in range(n)]
-    g = Graph(edges)
-    order = {}
-    for i in range(n):
-        order[outer[i]] = [outer[(i - 1) % n], inner[i], outer[(i + 1) % n]]
-        order[inner[i]] = [outer[i], inner[(i - 1) % n], inner[(i + 1) % n]]
-    return g, RotationSystem(g, order)
+    return _embedded(_prism_order(list(range(n)), [n + i for i in range(n)]))
 
 
 def antiprism(n: int) -> tuple[Graph, RotationSystem]:
@@ -105,11 +94,6 @@ def antiprism(n: int) -> tuple[Graph, RotationSystem]:
         raise ValueError("antiprism needs n >= 3")
     outer = list(range(n))
     inner = [n + i for i in range(n)]
-    edges = [(outer[i], outer[(i + 1) % n]) for i in range(n)]
-    edges += [(inner[i], inner[(i + 1) % n]) for i in range(n)]
-    edges += [(outer[i], inner[i]) for i in range(n)]
-    edges += [(outer[(i + 1) % n], inner[i]) for i in range(n)]
-    g = Graph(edges)
     order = {}
     for i in range(n):
         order[outer[i]] = [
@@ -124,47 +108,29 @@ def antiprism(n: int) -> tuple[Graph, RotationSystem]:
             outer[i],
             inner[(i - 1) % n],
         ]
-    return g, RotationSystem(g, order)
+    return _embedded(order)
 
 
 def hypercube(d: int) -> tuple[Graph, Optional[RotationSystem]]:
     """d-dimensional cube on bitstring vertices 0..2^d - 1."""
     if d < 1:
         raise ValueError("hypercube needs d >= 1")
-    n = 1 << d
-    edges = [(v, v | (1 << b)) for v in range(n) for b in range(d) if not v & (1 << b)]
-    g = Graph(edges)
     if d == 1:
-        return g, RotationSystem(g, {0: [1], 1: [0]})
+        return _embedded({0: [1], 1: [0]})
     if d == 2:
         ring = [0, 1, 3, 2]
-        order = {
-            ring[i]: [ring[(i - 1) % 4], ring[(i + 1) % 4]] for i in range(4)
-        }
-        return g, RotationSystem(g, order)
+        return _embedded({ring[i]: [ring[(i - 1) % 4], ring[(i + 1) % 4]] for i in range(4)})
     if d == 3:
         # outer square 0 1 3 2, inner square 4 5 7 6, spokes v to v+4
-        outer = [0, 1, 3, 2]
-        inner = [4, 5, 7, 6]
-        order = {}
-        for i in range(4):
-            order[outer[i]] = [outer[(i - 1) % 4], inner[i], outer[(i + 1) % 4]]
-            order[inner[i]] = [outer[i], inner[(i - 1) % 4], inner[(i + 1) % 4]]
-        return g, RotationSystem(g, order)
-    return g, None
+        return _embedded(_prism_order([0, 1, 3, 2], [4, 5, 7, 6]))
+    n = 1 << d
+    return Graph((v, v | (1 << b)) for v in range(n) for b in range(d) if not v & (1 << b)), None
 
 
 def icosahedron() -> tuple[Graph, RotationSystem]:
     """Apex 0, outer pentagon 1..5, inner pentagon 6..10, apex 11."""
     up = [1, 2, 3, 4, 5]
     low = [6, 7, 8, 9, 10]
-    edges = [(0, u) for u in up]
-    edges += [(up[i], up[(i + 1) % 5]) for i in range(5)]
-    edges += [(low[i], low[(i + 1) % 5]) for i in range(5)]
-    edges += [(up[i], low[i]) for i in range(5)]
-    edges += [(up[(i + 1) % 5], low[i]) for i in range(5)]
-    edges += [(11, w) for w in low]
-    g = Graph(edges)
     order: dict[int, list[int]] = {
         0: up[:],
         11: [low[0]] + low[:0:-1],
@@ -184,7 +150,7 @@ def icosahedron() -> tuple[Graph, RotationSystem]:
             low[(i - 1) % 5],
             11,
         ]
-    return g, RotationSystem(g, order)
+    return _embedded(order)
 
 
 @dataclass(frozen=True)
@@ -195,29 +161,43 @@ class FamilySpec:
     param: Optional[int] = None
 
     def build(self) -> tuple[Graph, Optional[RotationSystem]]:
+        """The family's graph and rotation; a ValueError for a bad name or parameter.
+
+        A parameter whose graph has more than MAX_EDGES edges is refused
+        before anything is built. Every parametric family has at least n
+        edges once n >= 3, so n > MAX_EDGES is refused without computing
+        its count, which for a hypercube is exponential in n.
+        """
         entry = FAMILIES.get(self.name)
         if entry is None:
             raise ValueError(f"unknown family {self.name!r}")
-        takes_param, factory = entry
-        if takes_param:
-            if self.param is None:
-                raise ValueError(f"family {self.name!r} needs a parameter")
-            return factory(self.param)
-        if self.param is not None:
-            raise ValueError(f"family {self.name!r} takes no parameter")
-        return factory()
+        edge_count, factory = entry
+        if edge_count is None:
+            if self.param is not None:
+                raise ValueError(f"family {self.name!r} takes no parameter")
+            return factory()
+        if self.param is None:
+            raise ValueError(f"family {self.name!r} needs a parameter")
+        if self.param > MAX_EDGES or self.param > 0 and edge_count(self.param) > MAX_EDGES:
+            raise ValueError(
+                f"family {self.name!r} with parameter {self.param} has more than "
+                f"{MAX_EDGES} edges"
+            )
+        return factory(self.param)
 
     def label(self) -> str:
         return self.name if self.param is None else f"{self.name}_{self.param}"
 
 
-FAMILIES: dict[str, tuple[bool, Callable]] = {
-    "figure1": (False, figure1),
-    "icosahedron": (False, icosahedron),
-    "cycle": (True, cycle),
-    "complete": (True, complete),
-    "wheel": (True, wheel),
-    "prism": (True, prism),
-    "antiprism": (True, antiprism),
-    "hypercube": (True, hypercube),
+# name -> (edge count as a function of the parameter, or None if the family
+# takes none; generator)
+FAMILIES: dict[str, tuple[Optional[Callable[[int], int]], Callable]] = {
+    "figure1": (None, figure1),
+    "icosahedron": (None, icosahedron),
+    "cycle": (lambda n: n, cycle),
+    "complete": (lambda n: n * (n - 1) // 2, complete),
+    "wheel": (lambda n: 2 * n, wheel),
+    "prism": (lambda n: 3 * n, prism),
+    "antiprism": (lambda n: 4 * n, antiprism),
+    "hypercube": (lambda d: d << (d - 1), hypercube),
 }

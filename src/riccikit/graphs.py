@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -44,6 +43,8 @@ class Graph:
             adj.setdefault(v, set()).add(u)
         if not adj:
             raise GraphError("graph has no vertices")
+        if min(adj) < 0:
+            raise GraphError(f"negative vertex id {min(adj)}")
         self._adj: dict[int, tuple[int, ...]] = {
             v: tuple(sorted(ns)) for v, ns in sorted(adj.items())
         }
@@ -53,10 +54,7 @@ class Graph:
         self._check_connected()
 
     def _check_connected(self) -> None:
-        seen = bfs_distances(self, self._vertices[0]).dist
-        if len(seen) != len(self._vertices):
-            missing = next(v for v in self._vertices if v not in seen)
-            raise GraphError(f"graph is disconnected (e.g. vertex {missing} unreachable)")
+        distances_to(self, self._vertices[0], self._vertices)
 
     @property
     def vertices(self) -> tuple[int, ...]:
@@ -132,25 +130,16 @@ class DistanceMap:
 
 def bfs_distances(g: Graph, source: int) -> DistanceMap:
     """Shortest-path distances from source to every vertex (graph connected)."""
-    if source not in g:
-        raise GraphError(f"unknown vertex {source}")
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        for w in g.neighbors(u):
-            if w not in dist:
-                dist[w] = du + 1
-                queue.append(w)
-    return DistanceMap(source, dist)
+    return DistanceMap(source, distances_to(g, source, g.vertices))
 
 
 def distances_to(g: Graph, source: int, targets: Iterable[int]) -> dict[int, int]:
     """BFS distances from source to each target and to every vertex met on the way.
 
     The search stops once it has reached every target, inside the ball of
-    radius max d(source, target).
+    radius max d(source, target). The map lists vertices in BFS order, so
+    its distances never fall. A target of g that the search cannot reach
+    makes g disconnected, which only a Graph under construction can be.
     """
     if source not in g:
         raise GraphError(f"unknown vertex {source}")
@@ -167,7 +156,10 @@ def distances_to(g: Graph, source: int, targets: Iterable[int]) -> dict[int, int
                 queue.append(w)
                 left.discard(w)
     if left:
-        raise GraphError(f"unknown vertex {min(left)}")
+        v = min(left)
+        if v in g:
+            raise GraphError(f"graph is disconnected (e.g. vertex {v} unreachable)")
+        raise GraphError(f"unknown vertex {v}")
     return dist
 
 
@@ -175,21 +167,7 @@ def ball(g: Graph, v: int, r: int) -> set[int]:
     """Closed ball {u : d(v, u) <= r}."""
     if r < 0:
         raise ValueError("radius must be >= 0")
-    if v not in g:
-        raise GraphError(f"unknown vertex {v}")
-    out = {v}
-    frontier = [v]
-    for _ in range(r):
-        nxt = []
-        for u in frontier:
-            for w in g.neighbors(u):
-                if w not in out:
-                    out.add(w)
-                    nxt.append(w)
-        if not nxt:
-            break
-        frontier = nxt
-    return out
+    return {u for u, d in bfs_distances(g, v).dist.items() if d <= r}
 
 
 def common_neighbors(g: Graph, x: int, y: int) -> set[int]:
@@ -380,7 +358,6 @@ def parse_rotation(text: str) -> tuple[Graph, RotationSystem]:
         first_line[v] = lineno
     if not order:
         raise ParseError("no rotation lines found")
-    edges = []
     for v, cycle in order.items():
         for u in cycle:
             if u not in order:
@@ -393,9 +370,12 @@ def parse_rotation(text: str) -> tuple[Graph, RotationSystem]:
                     f"asymmetric rotation: {v} lists {u} but {u} does not list {v}",
                     first_line[v],
                 )
-            if v < u:
-                edges.append((v, u))
-    g = Graph(edges, vertices=order)
+    return _embedded(order)
+
+
+def _embedded(order: Mapping[int, Sequence[int]]) -> tuple[Graph, RotationSystem]:
+    """The graph whose edges the clockwise rotation `order` lists, with that rotation."""
+    g = Graph(((v, u) for v, cycle in order.items() for u in cycle if v < u), vertices=order)
     return g, RotationSystem(g, order)
 
 

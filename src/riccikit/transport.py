@@ -32,6 +32,17 @@ def _frac(value) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
 
 
+def _common_scale(*maps) -> tuple:
+    """`scale`, the lcm of every denominator in `maps`, then each map times `scale`.
+
+    Each map has Fraction values and an `items()` method, as a dict or a
+    Measure does; each scaled map is a dict of ints with the same keys.
+    """
+    scale = lcm(*(m.denominator for values in maps for _, m in values.items()))
+    return (scale, *({k: m.numerator * (scale // m.denominator) for k, m in values.items()}
+                     for values in maps))
+
+
 class Measure:
     """Sparse probability distribution with exact rational masses."""
 
@@ -46,10 +57,10 @@ class Measure:
             if m.numerator:
                 clean[int(v)] = m
         # Summed over the common denominator: one integer per mass.
-        common = lcm(*(m.denominator for m in clean.values()))
-        total = sum(m.numerator * (common // m.denominator) for m in clean.values())
-        if total != common:
-            raise TransportError(f"masses sum to {Fraction(total, common)}, expected 1")
+        scale, units = _common_scale(clean)
+        total = sum(units.values())
+        if total != scale:
+            raise TransportError(f"masses sum to {Fraction(total, scale)}, expected 1")
         self._mass = dict(sorted(clean.items()))
 
     def support(self) -> tuple[int, ...]:
@@ -363,11 +374,6 @@ def _metric_network(
     return net, amount
 
 
-def _scaled(measure: Measure, scale: int) -> dict[int, int]:
-    """The masses of `measure` times `scale`, a multiple of every denominator."""
-    return {v: m.numerator * (scale // m.denominator) for v, m in measure.items()}
-
-
 def _coupling(
     net: _MinCostFlow, domain: Sequence[int], source: Mapping[int, int], target: Mapping[int, int]
 ) -> dict[tuple[int, int], int]:
@@ -417,9 +423,7 @@ def optimal_transport(g: Graph, m1: Measure, m2: Measure) -> TransportResult:
     foreign = [v for v in domain if v not in g]
     if foreign:
         raise TransportError(f"a measure puts mass on vertex {foreign[0]} not in the graph")
-    scale = lcm(*(m.denominator for _, m in m1.items()),
-                *(m.denominator for _, m in m2.items()))
-    source, target = _scaled(m1, scale), _scaled(m2, scale)
+    scale, source, target = _common_scale(m1, m2)
     supply = dict.fromkeys(domain, 0)
     for v, c in source.items():
         supply[v] += c
@@ -472,9 +476,10 @@ class DualityCheck:
 def verify_duality(plan: TransportPlan, potential: DualPotential, g: Graph) -> DualityCheck:
     """True iff plan and potential are feasible and their values agree exactly.
 
-    The plan is scaled to integers (`_plan_at_scale`) and checked by the
-    certificate that `optimal_transport` runs. An entry that is not a finite
-    number is reported and left out of the scaled plan.
+    The plan and both measures are scaled to one integer scale
+    (`_common_scale`) and checked by the certificate that
+    `optimal_transport` runs. An entry that is not a finite number is
+    reported and left out of the scaled plan.
     """
     entries, problems = {}, []
     for (u, v), mass in plan.entries.items():
@@ -482,25 +487,11 @@ def verify_duality(plan: TransportPlan, potential: DualPotential, g: Graph) -> D
             entries[u, v] = _frac(mass)
         except (ValueError, OverflowError):  # a NaN or infinite float
             problems.append(f"non-finite plan entry at ({u}, {v})")
-    units, source, target, scale = _plan_at_scale(entries, plan.source, plan.target)
+    scale, units, source, target = _common_scale(entries, plan.source, plan.target)
     vertices = set(potential.values).union(*plan.entries)
     problems += _duality_violations(units, source, target, potential.values,
                                     _domain_metric(g, sorted(vertices)), scale)
     return DualityCheck(not problems, tuple(problems))
-
-
-def _plan_at_scale(
-    entries: Mapping[tuple[int, int], Fraction], m1: Measure, m2: Measure
-) -> tuple[dict[tuple[int, int], int], dict[int, int], dict[int, int], int]:
-    """Plan entries, m1 and m2 masses times `scale`, and `scale`.
-
-    `scale` is the lcm of the denominators of the entries and of both measures.
-    """
-    scale = lcm(*(mass.denominator for mass in entries.values()),
-                *(m.denominator for _, m in m1.items()),
-                *(m.denominator for _, m in m2.items()))
-    units = {key: mass.numerator * (scale // mass.denominator) for key, mass in entries.items()}
-    return units, _scaled(m1, scale), _scaled(m2, scale), scale
 
 
 def _duality_violations(

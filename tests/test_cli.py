@@ -374,6 +374,23 @@ def test_input_errors_exit2(tmp_path, capsys):
         assert err.startswith("error: ") and message in err
 
 
+def test_negative_vertex_rotation_exit2(tmp_path, capsys):
+    path = tmp_path / "neg.rot"
+    path.write_text("-1:\n")
+    code, out, err = run_cli(capsys, "curvature", "--input", str(path), "--jobs", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: negative vertex id -1\n"
+
+
+@pytest.mark.parametrize("family, n", [("hypercube", "64"), ("cycle", "1000000000000")])
+def test_generate_refuses_oversized_family_exit2(tmp_path, capsys, family, n):
+    base = tmp_path / "big"
+    code, out, err = run_cli(capsys, "generate", "--family", family, "--n", n, "--out", str(base))
+    assert (code, out) == (2, "")
+    assert err == f"error: family {family!r} with parameter {n} has more than 1000000 edges\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unwritable_out_exit2(tmp_path, capsys):
     path = tmp_path / "c5.edges"
     path.write_text(to_edgelist_text(families.cycle(5)[0]))

@@ -1,9 +1,10 @@
+import hashlib
 from collections import Counter
 
 import pytest
 
 from riccikit import families
-from riccikit.families import FamilySpec
+from riccikit.families import FAMILIES, MAX_EDGES, FamilySpec
 from riccikit.graphs import to_edgelist_text, to_rotation_text, trace_faces, validate_embedding
 
 
@@ -128,3 +129,56 @@ def test_parameter_validation():
     with pytest.raises(ValueError, match="unknown family"):
         FamilySpec("petersen").build()
     assert FamilySpec("prism", 5).label() == "prism_5"
+
+
+def _transcript(name: str) -> str:
+    """Edge-list and rotation text, or the ValueError text, of each parameter."""
+    takes_param = FAMILIES[name][0] is not None
+    params = range(1, 11 if name == "hypercube" else 40) if takes_param else [None]
+    parts = []
+    for p in params:
+        try:
+            g, rot = FamilySpec(name, p).build()
+        except ValueError as exc:
+            parts.append(f"{p}: {exc}\n")
+            continue
+        parts.append(f"{p}:\n{to_edgelist_text(g)}--\n{to_rotation_text(rot) if rot else ''}")
+    return "".join(parts)
+
+
+# SHA-256 of `_transcript`, taken from the generators that listed every edge
+# by hand, before the embedded families derived their edges from the rotation.
+FAMILY_DIGESTS = {
+    "antiprism": "90ec39669eaaa33941441fc81c47673d3d9b975376d0b989ec344df524dce922",
+    "complete": "acdbddfaccff95260cf92bdb4a2e177c7f698c62b2ebd04c101ae54f0e4a2d1e",
+    "cycle": "6b0b397a03eeb15bc174510542fa40452b2d26a927f168f39dc8dcd12a47bd41",
+    "figure1": "1187990af4b00d127437dff6b37d53a1d1705c1968a60b512a65eafada5a785f",
+    "hypercube": "8d991fa76e367bdd262cf4f7ec3a3a2f6584357905804c60e0420f64ed8a0c99",
+    "icosahedron": "912f018ec447dd75cf0177e783ef9c20d73679b7efeac23247dd23c5879cc29f",
+    "prism": "46a3cf4171a95eef2101ecad63263552ac299fdd1eb08503df41554225740745",
+    "wheel": "cf3037f095d0e1d57be9f5356e88837664c761a3e212c2c49e37648fff4db5f8",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_family_texts_are_pinned(name):
+    assert FAMILY_DIGESTS.keys() == FAMILIES.keys()
+    assert hashlib.sha256(_transcript(name).encode()).hexdigest() == FAMILY_DIGESTS[name]
+
+
+def test_size_bound_is_checked_before_building(monkeypatch):
+    def never(n):
+        raise AssertionError(f"built with parameter {n}")
+
+    for name, n in [("hypercube", 17), ("hypercube", 64), ("hypercube", 10**12),
+                    ("cycle", MAX_EDGES + 1), ("complete", 1415), ("wheel", 500_001),
+                    ("prism", 333_334), ("antiprism", 250_001)]:
+        count, _ = FAMILIES[name]
+        monkeypatch.setitem(FAMILIES, name, (count, never))
+        with pytest.raises(ValueError, match=f"more than {MAX_EDGES} edges"):
+            FamilySpec(name, n).build()
+    # the largest parameters within the bound still reach the generator
+    for name, n in [("hypercube", 16), ("cycle", MAX_EDGES), ("complete", 1414),
+                    ("wheel", 500_000), ("prism", 333_333), ("antiprism", 250_000)]:
+        with pytest.raises(AssertionError, match=f"built with parameter {n}"):
+            FamilySpec(name, n).build()

@@ -63,8 +63,19 @@ def test_parse_bad_token():
 
 
 def test_parse_rejects_disconnected():
-    with pytest.raises(GraphError, match="disconnected"):
+    with pytest.raises(GraphError, match=r"disconnected \(e\.g\. vertex 3 unreachable\)"):
         parse_edgelist("1 2\n3 4\n")
+
+
+def test_negative_vertex_ids_are_rejected_on_vertices_and_edges():
+    with pytest.raises(GraphError, match="negative vertex id -1$"):
+        Graph([], vertices=[-1])
+    with pytest.raises(GraphError, match="negative vertex id -2$"):
+        Graph([(0, 1)], vertices=[-2, 0, 1])
+    with pytest.raises(GraphError, match="negative vertex id -1$"):
+        parse_rotation("-1:\n")
+    with pytest.raises(GraphError, match="negative vertex id in edge -1 0"):
+        parse_rotation("-1: 0\n0: -1\n")
 
 
 def test_parse_rotation_asymmetric():

@@ -13,9 +13,9 @@ from riccikit.transport import (
     TransportError,
     _MinCostFlow,
     TransportPlan,
+    _common_scale,
     _domain_metric,
     _duality_violations,
-    _plan_at_scale,
     kantorovich_potential,
     lazy_measure,
     optimal_transport,
@@ -31,7 +31,7 @@ half = Fraction(1, 2)
 
 def certify(plan, potential, dist, distance=None):
     """The integer certificate on a Fraction plan, scaled as verify_duality scales it."""
-    units, source, target, scale = _plan_at_scale(plan.entries, plan.source, plan.target)
+    scale, units, source, target = _common_scale(plan.entries, plan.source, plan.target)
     scaled = None if distance is None else distance * scale
     return _duality_violations(units, source, target, potential.values, dist, scale, scaled)
 
