@@ -7,8 +7,9 @@ Sampling is driven entirely by the caller's seed.
 
 The transport checks (duality, integrality, concavity, slope-monotonicity)
 sample the same edges on small graphs, so one `run_checks` call solves each
-lazy-walk transport problem (x, y, alpha) once and hands the result to every
-check that asks for it. Each check still runs its own test on each result.
+lazy-walk transport problem (x, y, alpha) at most once. `concavity` and
+`slope-monotonicity` read kappa_alpha from each edge's certified
+`transport.IdlenessPieces`, which solves only a few alpha per edge.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .curvature import (
 )
 from .graphs import Graph, RotationSystem
 from .structure import degree_audit, instance_to_json_dict, lemma4_sweep
-from .transport import InternalConsistencyError, lazy_measure, verify_duality
+from .transport import IdlenessPieces, InternalConsistencyError, lazy_measure, verify_duality
 
 _EDGE_SAMPLE = 12
 _PAIR_LIMIT = 10  # vertices; all-pairs curvature beyond this is out of desk range
@@ -112,9 +113,9 @@ def _check_integrality(g: Graph, rng: random.Random, transport, **_) -> CheckRes
     return CheckResult("integrality", "pass", f"{count} potentials integer-valued")
 
 
-def _check_concavity(g: Graph, rng: random.Random, transport, **_) -> CheckResult:
+def _check_concavity(g: Graph, rng: random.Random, distance, **_) -> CheckResult:
     for x, y in _sample_edges(g, rng):
-        values = [_kappa_alpha(g, x, y, a, transport) for a in _GRID]
+        values = [_kappa_alpha(g, x, y, a, distance) for a in _GRID]
         for i in range(len(_GRID) - 2):
             if values[i] - 2 * values[i + 1] + values[i + 2] > 0:
                 return CheckResult(
@@ -133,12 +134,12 @@ def _check_concavity(g: Graph, rng: random.Random, transport, **_) -> CheckResul
 
 
 def _check_slope_monotonicity(
-    g: Graph, report: CurvatureReport, rng: random.Random, transport, **_
+    g: Graph, report: CurvatureReport, rng: random.Random, distance, **_
 ) -> CheckResult:
     kappa_by_edge = {(rec.u, rec.v): rec.kappa for rec in report.edges}
     for x, y in _sample_edges(g, rng):
         limit = kappa_by_edge[(x, y)]
-        slopes = [_kappa_alpha(g, x, y, a, transport) / (1 - a) for a in _GRID if a != 1]
+        slopes = [_kappa_alpha(g, x, y, a, distance) / (1 - a) for a in _GRID if a != 1]
         for s1, s2 in zip(slopes, slopes[1:]):
             if s1 > s2:
                 return CheckResult(
@@ -150,7 +151,7 @@ def _check_slope_monotonicity(
                 "slope-monotonicity", "fail",
                 f"edge ({x}, {y}): slope exceeds the limit value {limit}",
             )
-        if _kappa_lly_slope(g, x, y, transport) != limit:
+        if _kappa_lly_slope(g, x, y, distance) != limit:
             return CheckResult(
                 "slope-monotonicity", "fail",
                 f"edge ({x}, {y}): transport slope engine disagrees with the LP value",
@@ -272,9 +273,12 @@ def run_checks(
     if unknown:
         raise ValueError(f"unknown check {unknown[0]!r}")
     report = curvature_report(g, rot=rot, mode="lly")
-    # One measure per (v, alpha) and one solve per (x, y, alpha).
+    # One measure per (v, alpha), at most one solve per (x, y, alpha), one
+    # set of idleness pieces per edge and one certified read per (x, y, alpha).
     measure = cache(partial(lazy_measure, g))
     transport = cache(partial(_lazy_transport, g, measure=measure))
+    pieces = cache(lambda x, y: IdlenessPieces(g, x, y, transport, measure))
+    distance = cache(lambda x, y, alpha: pieces(x, y).distance(alpha))
     results = []
     for name in ALL_CHECKS:
         if name not in selected:
@@ -282,7 +286,8 @@ def run_checks(
         rng = random.Random(f"{seed}:{name}")  # str seeding is process stable
         results.append(
             _CHECK_FUNCS[name](
-                g=g, rot=rot, report=report, rng=rng, seed=seed, transport=transport
+                g=g, rot=rot, report=report, rng=rng, seed=seed, transport=transport,
+                distance=distance,
             )
         )
     return results

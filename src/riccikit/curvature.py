@@ -135,30 +135,34 @@ def _lazy_transport(g: Graph, x: int, y: int, alpha, measure=None) -> TransportR
     return optimal_transport(g, measure(x, alpha), measure(y, alpha))
 
 
-def _kappa_alpha(g: Graph, x: int, y: int, alpha, transport) -> Fraction:
-    """1 - W / d(x, y), with W from `transport(x, y, alpha)`.
+def _kappa_alpha(g: Graph, x: int, y: int, alpha, distance) -> Fraction:
+    """1 - W / d(x, y), with W = `distance(x, y, alpha)`.
 
-    `transport` is `_lazy_transport` bound to g, or a memo of it, such as the
-    one `checks.run_checks` keeps for one call.
+    `distance` reads `_lazy_transport` on g, or the certified idleness pieces
+    that `checks.run_checks` keeps per edge for one call.
     """
     if x == y:
         raise ValueError("curvature requires two distinct vertices")
     alpha = _frac(alpha)
     d = 1 if g.has_edge(x, y) else distances_to(g, x, (y,))[y]
-    return 1 - transport(x, y, alpha).distance / d
+    return 1 - distance(x, y, alpha) / d
 
 
-def _kappa_lly_slope(g: Graph, x: int, y: int, transport) -> Fraction:
-    """kappa_alpha / (1 - alpha) at alpha = L / (L + 1); see kappa_lly_slope."""
+def _kappa_lly_slope(g: Graph, x: int, y: int, distance) -> Fraction:
+    """kappa_alpha / (1 - alpha) at alpha = L / (L + 1), L = lcm(deg x, deg y).
+
+    alpha -> kappa_alpha is linear from 1 / (max(deg x, deg y) + 1) to 1
+    (Bourne, Cushing, Liu, Muench and Peyerimhoff, SIAM J. Discrete Math. 32,
+    2018), so the ratio there is the slope, the limit-free curvature."""
     _require_edge(g, x, y)
     big = lcm(g.degree(x), g.degree(y))
     alpha = Fraction(big, big + 1)
-    return _kappa_alpha(g, x, y, alpha, transport) / (1 - alpha)
+    return _kappa_alpha(g, x, y, alpha, distance) / (1 - alpha)
 
 
 def kappa_alpha(g: Graph, x: int, y: int, alpha) -> Fraction:
     """Lazy-walk curvature 1 - W(m_x^a, m_y^a) / d(x, y)."""
-    return _kappa_alpha(g, x, y, alpha, partial(_lazy_transport, g))
+    return _kappa_alpha(g, x, y, alpha, lambda x, y, a: _lazy_transport(g, x, y, a).distance)
 
 
 def _require_edge(g: Graph, x: int, y: int) -> None:
@@ -173,7 +177,7 @@ def kappa_lly_slope(g: Graph, x: int, y: int) -> Fraction:
     the final linear piece of alpha -> kappa_alpha, where the slope equals the
     limit-free value. Tests assert exact agreement with kappa_lly.
     """
-    return _kappa_lly_slope(g, x, y, partial(_lazy_transport, g))
+    return _kappa_lly_slope(g, x, y, lambda x, y, a: _lazy_transport(g, x, y, a).distance)
 
 
 def kappa_zero(g: Graph, x: int, y: int) -> Fraction:

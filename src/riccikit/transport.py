@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Mapping, Sequence
 
 from .graphs import Graph, distances_to
@@ -46,7 +46,7 @@ def _common_scale(*maps) -> tuple:
 class Measure:
     """Sparse probability distribution with exact rational masses."""
 
-    __slots__ = ("_mass",)
+    __slots__ = ("_mass", "_units")
 
     def __init__(self, masses: Mapping[int, Fraction]):
         clean: dict[int, Fraction] = {}
@@ -62,6 +62,7 @@ class Measure:
         if total != scale:
             raise TransportError(f"masses sum to {Fraction(total, scale)}, expected 1")
         self._mass = dict(sorted(clean.items()))
+        self._units = scale, units  # the masses as integers at their lcm scale
 
     def support(self) -> tuple[int, ...]:
         return tuple(self._mass)
@@ -445,6 +446,87 @@ def optimal_transport(g: Graph, m1: Measure, m2: Measure) -> TransportResult:
         raise InternalConsistencyError("; ".join(violations))
     plan = TransportPlan({key: Fraction(c, scale) for key, c in units.items()}, m1, m2)
     return TransportResult(Fraction(total, scale), plan, DualPotential(f, anchor))
+
+
+class IdlenessPieces:
+    """The linear pieces of alpha -> W(m_x^alpha, m_y^alpha) on an edge (x, y), certified.
+
+    W is the maximum of the dual lines alpha -> sum f (m_x^alpha - m_y^alpha)
+    of the 1-Lipschitz f, so it is convex and piecewise linear; on an edge it
+    has at most three pieces, the last starting at or before 1 / (max(deg x,
+    deg y) + 1) (Bourne, Cushing, Liu, Muench and Peyerimhoff, "Ollivier-Ricci
+    idleness functions of graphs", SIAM J. Discrete Math. 32, 2018). Breakpoint
+    search (Eisner and Severance, 1976) finds them from solves at 0 and 1/2
+    and W(1) = 1: the dual lines of solved points a < b cross at c; if W(c)
+    lies on both, W is a's line on [a, c] and b's on [c, b]; else a solve at c
+    splits [a, b]. `pieces` lists (a, b, f, (c0, slope)): ends (alpha, W *
+    scale, scale, plan units at that scale) and an integer potential f whose
+    dual line c0 + alpha * slope is W on [a, b]. `transport(x, y, alpha)`
+    gives a TransportResult, `measure(v, alpha)` a lazy measure.
+    """
+
+    __slots__ = ("pieces", "_x", "_y", "_dist", "_measure")
+
+    def __init__(self, g: Graph, x: int, y: int, transport, measure):
+        domain = sorted({x, y, *g.neighbors(x), *g.neighbors(y)})
+        self._x, self._y, self._measure = x, y, measure
+        self._dist = dist = _domain_metric(g, domain)
+
+        def point(alpha, w, plan, f):  # f's dual line is c0 + alpha * slope: (c0, slope)
+            c0 = (Fraction(sum(f[v] for v in g.neighbors(x)), g.degree(x))
+                  - Fraction(sum(f[v] for v in g.neighbors(y)), g.degree(y)))
+            scale, units = _common_scale(plan)
+            return (alpha, int(w * scale), scale, units), f, (c0, f[x] - f[y] - c0)
+
+        def solve(alpha):
+            result = transport(x, y, alpha)
+            return point(alpha, result.distance, result.plan.entries, result.potential.values)
+
+        half = solve(Fraction(1, 2))
+        one = point(1, 1, {(x, y): 1}, {v: dist[v, y] for v in domain})
+        stack, found = [(half, one), (solve(Fraction(0)), half)], []
+        while stack:
+            lo, hi = stack.pop()
+            (a, fa, (c0, s0)), (b, fb, (c1, s1)) = lo, hi
+            c = (c0 - c1) / (s1 - s0) if s1 != s0 else b[0]  # s1 > s0 unless one line
+            if not a[0] <= c <= b[0]:
+                raise InternalConsistencyError(f"dual lines cross outside [{a[0]}, {b[0]}]")
+            if c in (a[0], b[0]):
+                found.append((a, b, *(hi if c == a[0] else lo)[1:]))
+                continue
+            mid = solve(c)
+            if mid[0][1] == (c0 + c * s0) * mid[0][2]:
+                found += [(a, mid[0], fa, (c0, s0)), (mid[0], b, fb, (c1, s1))]
+            else:
+                stack += [(mid, hi), (lo, mid)]
+        self.pieces = []
+        for a, b, f, line in found:  # a line met again continues its piece
+            if self.pieces and self.pieces[-1][3] == line:
+                a = self.pieces.pop()[0]
+            self.pieces.append((a, b, f, line))
+
+    def distance(self, alpha: Fraction) -> Fraction:
+        """W(alpha), once `_duality_violations` certifies it at alpha's scale with the
+        plan interpolated between the piece's ends and the piece's potential."""
+        (a, wa, sa, ua), (b, wb, sb, ub), f, _ = next(p for p in self.pieces if alpha <= p[1][0])
+        t = (alpha - a) / (b - a)
+        # (1 - t) ua / sa + t ub / sb, at scale q sa sb, then at alpha's scale
+        p, q = t.numerator, t.denominator
+        ka, kb, raw = (q - p) * sb, p * sa, q * sa * sb
+        units = {k: ka * ua.get(k, 0) + kb * ub.get(k, 0) for k in ua.keys() | ub.keys()}
+        w = Fraction(ka * wa + kb * wb, raw)
+        common = gcd(raw, *units.values())
+        (s1, source), (s2, target) = (self._measure(v, alpha)._units for v in (self._x, self._y))
+        scale = lcm(raw // common, s1, s2)
+        up, up1, up2 = scale * common // raw, scale // s1, scale // s2
+        problems = _duality_violations(
+            {k: c // common * up for k, c in units.items() if c},
+            {v: c * up1 for v, c in source.items()}, {v: c * up2 for v, c in target.items()},
+            f, self._dist, scale, w * scale)
+        if problems:
+            raise InternalConsistencyError(
+                f"idleness piece of ({self._x}, {self._y}), alpha {alpha}: {'; '.join(problems)}")
+        return w
 
 
 def wasserstein(g: Graph, m1: Measure, m2: Measure) -> tuple[Fraction, TransportPlan]:

@@ -1,7 +1,5 @@
 import random
 import sys
-from fractions import Fraction
-from math import lcm
 
 import pytest
 
@@ -85,20 +83,27 @@ def _count_calls(monkeypatch, original) -> list:
 
 def test_verify_solves_each_transport_problem_once(tmp_path, capsys, monkeypatch):
     # prism(3) has 9 <= 12 edges, so all four transport checks use every edge:
-    # duality and integrality at 0, 1/3, 1/2, concavity and slope-monotonicity
-    # on the tenths grid, and the slope engine at L / (L + 1).
+    # duality and integrality at 0, 1/3, 1/2, and the idleness pieces that
+    # concavity and slope-monotonicity read at 0, 1/2 and the one breakpoint,
+    # 1/4.
     g, rot = families.prism(3)
     path = tmp_path / "prism3.rot"
     path.write_text(to_rotation_text(rot))
-    expected = 0
-    for x, y in g.edges():
-        big = lcm(g.degree(x), g.degree(y))
-        alphas = {Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(big, big + 1)}
-        expected += len(alphas | {Fraction(i, 10) for i in range(11)})
     calls = _count_calls(monkeypatch, riccikit.transport.optimal_transport)
     assert main(["verify", "--input", str(path), "--seed", "5"]) == 0
     assert "PASS slope-monotonicity" in capsys.readouterr().out
-    assert len(calls) == expected == 9 * 13
+    solved = [repr(c[1:]) for c in calls]  # the two measures of each solve
+    assert len(solved) == len(set(solved)) == 9 * 4
+
+
+@pytest.mark.parametrize("check", ["concavity", "slope-monotonicity"])
+def test_grid_checks_take_few_solves_per_sampled_edge(monkeypatch, check):
+    # The icosahedron has 30 edges, so each check samples 12 of them. Solving
+    # at every alpha of the tenths grid took 11 solves per edge (132).
+    g, rot = families.icosahedron()
+    calls = _count_calls(monkeypatch, riccikit.transport.optimal_transport)
+    assert run_checks(g, rot=rot, checks=[check], seed=1)[0].status == "pass"
+    assert len(calls) <= 5 * 12
 
 
 def test_verify_builds_each_lazy_measure_once(tmp_path, monkeypatch):

@@ -25,6 +25,9 @@ from oracles import random_connected_graph
 
 GOLDEN = Path(__file__).parent / "golden"
 RANDOM_SEEDS = (11, 12, 13)
+# Graphs with more than 12 edges, so each transport check of `verify` draws
+# its own edge sample; random_37 has 12 vertices and 19 edges.
+SAMPLED = (("prism_8", "rot"), ("antiprism_8", "rot"), ("random_37", "edges"))
 
 # (stored output, input file, command and options before --input)
 CASES = [
@@ -32,6 +35,8 @@ CASES = [
       for name in ("icosahedron", "prism_5", "antiprism_5")),
     *((f"random_{s}.verify.out", f"random_{s}.edges", ("verify", "--seed", "1"))
       for s in RANDOM_SEEDS),
+    *((f"{name}.verify.seed{seed}.out", f"{name}.{ext}", ("verify", "--seed", str(seed)))
+      for name, ext in SAMPLED for seed in (3, 7)),
     *((f"{name}.lly.out", f"{name}.rot", ("curvature", "--mode", "lly", "--jobs", "1"))
       for name in ("figure1", "wheel_7")),
     # Plans and potentials depend on the flow engine's arc order, not only on W.
@@ -60,10 +65,11 @@ def test_output_is_byte_identical(output, source, command):
 def _write_inputs() -> None:
     for spec in (families.FamilySpec("icosahedron"), families.FamilySpec("prism", 5),
                  families.FamilySpec("antiprism", 5), families.FamilySpec("figure1"),
-                 families.FamilySpec("wheel", 7)):
+                 families.FamilySpec("wheel", 7), families.FamilySpec("prism", 8),
+                 families.FamilySpec("antiprism", 8)):
         _, rot = spec.build()
         (GOLDEN / f"{spec.label()}.rot").write_text(to_rotation_text(rot), encoding="utf-8")
-    for seed in RANDOM_SEEDS:
+    for seed in (*RANDOM_SEEDS, 37):
         g = random_connected_graph(random.Random(seed))
         (GOLDEN / f"random_{seed}.edges").write_text(to_edgelist_text(g), encoding="utf-8")
 

@@ -1,0 +1,113 @@
+"""The certified idleness pieces of alpha -> W(m_x^alpha, m_y^alpha) on an edge."""
+
+import random
+from fractions import Fraction
+from functools import cache, partial
+
+import pytest
+
+from riccikit import families
+from riccikit.cli import main
+from riccikit.curvature import _lazy_transport, curvature_report
+from riccikit.transport import IdlenessPieces, InternalConsistencyError, lazy_measure
+
+from oracles import random_connected_graph
+
+GRID = [Fraction(i, 60) for i in range(61)]
+NAMED = [("figure1",), ("icosahedron",),
+         *(("prism", n) for n in range(3, 9)), *(("antiprism", n) for n in range(3, 9)),
+         *(("wheel", n) for n in range(3, 9)), *(("complete", n) for n in range(2, 8)),
+         *(("hypercube", d) for d in range(1, 5))]
+
+
+def _pieces(g, x, y):
+    return IdlenessPieces(g, x, y, partial(_lazy_transport, g), partial(lazy_measure, g))
+
+
+def _graphs():
+    for spec in NAMED:
+        yield "-".join(map(str, spec)), families.FamilySpec(*spec).build()[0]
+    rng = random.Random(19)
+    for i in range(40):
+        yield f"random-{i}", random_connected_graph(rng, n_max=9)
+
+
+@pytest.mark.parametrize("name, g", list(_graphs()), ids=lambda v: v if isinstance(v, str) else "")
+def test_pieces_give_lazy_transport_on_the_sixtieths(name, g):
+    kappa = {(e.u, e.v): e.kappa for e in curvature_report(g, mode="lly").edges}
+    measure = cache(partial(lazy_measure, g))
+    solve = partial(_lazy_transport, g, measure=measure)
+    for x, y in g.edges():
+        pieces = IdlenessPieces(g, x, y, solve, measure)
+        # Bourne, Cushing, Liu, Muench and Peyerimhoff: at most three pieces.
+        assert 1 <= len(pieces.pieces) <= 3
+        assert [p[0][0] for p in pieces.pieces] + [1] == [0] + [p[1][0] for p in pieces.pieces]
+        for alpha in GRID:
+            assert pieces.distance(alpha) == solve(x, y, alpha).distance, (x, y, alpha)
+        # On the last piece kappa_alpha = 1 - W = (1 - alpha) kappa_LLY, so W
+        # has slope kappa_LLY there; the piece starts by 1 / (max degree + 1).
+        assert pieces.pieces[-1][3][1] == kappa[x, y]
+        last = pieces.pieces[-1][0][0]
+        assert last <= Fraction(1, max(g.degree(x), g.degree(y)) + 1)
+
+
+def _middle(pieces):
+    """An alpha strictly inside the first piece, the piece's left end and its potential."""
+    start, end, f, _ = pieces.pieces[0]
+    return (start[0] + end[0]) / 2, start, f
+
+
+def test_a_moved_unit_in_an_end_plan_is_caught():
+    g, _ = families.icosahedron()
+    pieces = _pieces(g, 0, 1)
+    alpha, start, _ = _middle(pieces)
+    # One unit of the left end's plan moves to another column of its row, so
+    # the plan interpolated at alpha no longer has the target's column sums.
+    units = start[3]
+    u, v = min(units)
+    w = next(k[1] for k in units if k[1] != v)
+    units[u, v] -= 1
+    units[u, w] = units.get((u, w), 0) + 1
+    with pytest.raises(InternalConsistencyError, match="column sums"):
+        pieces.distance(alpha)
+
+
+def test_a_potential_value_off_by_one_is_caught():
+    g, _ = families.wheel(5)
+    pieces = _pieces(g, 0, 5)
+    alpha, _, f = _middle(pieces)
+    # x = 0 carries net mass alpha - (1 - alpha) / deg(5) != 0 at this alpha.
+    assert alpha != Fraction(1, g.degree(5) + 1)
+    f[0] += 1
+    with pytest.raises(InternalConsistencyError, match="idleness piece of \\(0, 5\\)"):
+        pieces.distance(alpha)
+
+
+def test_reads_solve_nothing():
+    g, _ = families.prism(4)
+    calls = []
+
+    def counted(x, y, alpha):
+        calls.append(alpha)
+        return _lazy_transport(g, x, y, alpha)
+
+    pieces = IdlenessPieces(g, 0, 1, counted, partial(lazy_measure, g))
+    solved = len(calls)
+    assert [pieces.distance(a) for a in GRID] == [_lazy_transport(g, 0, 1, a).distance
+                                                  for a in GRID]
+    assert len(calls) == solved <= 5
+
+
+def test_a_failed_certificate_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    build = IdlenessPieces.__init__
+
+    def corrupted(self, *args):
+        build(self, *args)
+        units = self.pieces[0][0][3]
+        units[min(units)] += 1  # one unit more than the source measure holds
+
+    monkeypatch.setattr(IdlenessPieces, "__init__", corrupted)
+    path = tmp_path / "k4.edges"
+    path.write_text("0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+    assert main(["verify", "--input", str(path), "--checks", "concavity"]) == 3
+    assert "internal error: idleness piece of (0, 1)" in capsys.readouterr().err
