@@ -7,9 +7,10 @@ Sampling is driven entirely by the caller's seed.
 
 The transport checks (duality, integrality, concavity, slope-monotonicity)
 sample the same edges on small graphs, so one `run_checks` call solves each
-lazy-walk transport problem (x, y, alpha) at most once. `concavity` and
-`slope-monotonicity` read kappa_alpha from each edge's certified
-`transport.IdlenessPieces`, which solves only a few alpha per edge.
+lazy-walk transport problem (x, y, alpha) at most once, and builds the
+metric of each transport domain once. `concavity` and `slope-monotonicity`
+read kappa_alpha from each edge's certified `transport.IdlenessPieces`,
+which solves only a few alpha per edge.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .curvature import (
 from .graphs import Graph, RotationSystem
 from .structure import degree_audit, instance_to_json_dict, lemma4_sweep
 from .transport import IdlenessPieces, InternalConsistencyError, lazy_measure, verify_duality
+from .transport import _domain_metric
 
 _EDGE_SAMPLE = 12
 _PAIR_LIMIT = 10  # vertices; all-pairs curvature beyond this is out of desk range
@@ -81,12 +83,12 @@ def _check_positivity(g: Graph, report: CurvatureReport, **_) -> CheckResult:
     )
 
 
-def _check_duality(g: Graph, rng: random.Random, transport, **_) -> CheckResult:
+def _check_duality(g: Graph, rng: random.Random, transport, metric, **_) -> CheckResult:
     count = 0
     for x, y in _sample_edges(g, rng):
         for alpha in _ALPHAS:
             result = transport(x, y, alpha)
-            check = verify_duality(result.plan, result.potential, g)
+            check = verify_duality(result.plan, result.potential, g, metric)
             if not check:
                 return CheckResult(
                     "duality",
@@ -273,11 +275,13 @@ def run_checks(
     if unknown:
         raise ValueError(f"unknown check {unknown[0]!r}")
     report = curvature_report(g, rot=rot, mode="lly")
-    # One measure per (v, alpha), at most one solve per (x, y, alpha), one
-    # set of idleness pieces per edge and one certified read per (x, y, alpha).
+    # One metric (rows and spanning arcs) per domain, one measure per (v,
+    # alpha), at most one solve per (x, y, alpha), one set of idleness pieces
+    # per edge and one certified read per (x, y, alpha).
+    metric = cache(partial(_domain_metric, g))
     measure = cache(partial(lazy_measure, g))
-    transport = cache(partial(_lazy_transport, g, measure=measure))
-    pieces = cache(lambda x, y: IdlenessPieces(g, x, y, transport, measure))
+    transport = cache(partial(_lazy_transport, g, measure=measure, metric=metric))
+    pieces = cache(lambda x, y: IdlenessPieces(g, x, y, transport, measure, metric))
     distance = cache(lambda x, y, alpha: pieces(x, y).distance(alpha))
     results = []
     for name in ALL_CHECKS:
@@ -287,7 +291,7 @@ def run_checks(
         results.append(
             _CHECK_FUNCS[name](
                 g=g, rot=rot, report=report, rng=rng, seed=seed, transport=transport,
-                distance=distance,
+                distance=distance, metric=metric,
             )
         )
     return results

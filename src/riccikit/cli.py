@@ -14,6 +14,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from .checks import ALL_CHECKS, run_checks
@@ -185,9 +186,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = cache(build_parser)  # built by the first `main` call, then reused
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (_InputError, GraphError, TransportError, EmbeddingError) as exc:

@@ -10,14 +10,15 @@ averaged Laplacian. Any 1-Lipschitz f on U extends to the whole graph
 without changing the objective, so restricting to U is exact.
 
 The program is a system of difference constraints, so its dual is an
-integer transshipment problem on U: supplies are the objective scaled to
-integers, constraint arcs u -> v of cost d(u, v) are uncapacitated, and one
-arc y -> x of cost -d(x, y) encodes the gradient constraint. The optimum is
--(min cost) / (scale * d(x, y)). The flow starts from the potentials
-d(x, .) on U, which price every arc at >= 0, and its final potentials are
-an optimal integer f. The network is `transport._metric_network`, which
-lazy-walk transport solves without the gradient arc; its spanning arc set
-has shortest-path closure d on U, so the optimum is unchanged.
+integer transshipment problem on U: supplies are the objective built in
+integers at scale L = lcm(deg x, deg y), constraint arcs u -> v of cost
+d(u, v) are uncapacitated, and one arc y -> x of cost -d(x, y) encodes the
+gradient constraint. The optimum is -(min cost) / (L d(x, y)). The flow
+starts from the potentials d(x, .) on U, which price every arc at >= 0, and
+its final potentials are an optimal integer f. The metric on U is held as
+rows by position in U, with the spanning arcs of `transport._domain_metric`:
+their shortest-path closure is d on U, so the optimum is unchanged.
+Lazy-walk transport solves the same network without the gradient arc.
 
 The independent lazy-walk slope engine, the enumeration oracle and the
 reference simplex in the test suite cross-check this.
@@ -29,6 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import lcm
+from operator import mul
 from typing import Mapping, Optional, Sequence
 
 from .graphs import (
@@ -47,7 +49,7 @@ from .transport import (
     lazy_measure,
     optimal_transport,
 )
-from .transport import _common_scale, _domain_metric, _metric_network, _potential_violations
+from .transport import _domain_metric, _metric_network, _potential_violations
 
 
 class EmbeddingError(ValueError):
@@ -56,14 +58,29 @@ class EmbeddingError(ValueError):
 
 @dataclass(frozen=True)
 class LipschitzProgram:
-    """Exact LP data for one vertex pair: domain, metric, and objective."""
+    """Exact LP data for one vertex pair: domain, metric, and integer objective.
+
+    `rows` and `arcs` are `transport._domain_metric` of the domain; supply[i]
+    is the objective's coefficient at domain[i] times `scale`."""
 
     x: int
     y: int
     d_xy: int
     domain: tuple[int, ...]
-    dist: Mapping[tuple[int, int], int]
-    objective: Mapping[int, Fraction]
+    rows: list[list[int]]
+    arcs: tuple
+    supply: list[int]
+    scale: int
+
+    # The metric by vertex pair and the objective by vertex, derived on demand.
+    @property
+    def dist(self) -> dict[tuple[int, int], int]:
+        domain = self.domain
+        return {(u, v): d for u, row in zip(domain, self.rows) for v, d in zip(domain, row)}
+
+    @property
+    def objective(self) -> dict[int, Fraction]:
+        return {u: Fraction(c, self.scale) for u, c in zip(self.domain, self.supply)}
 
     def value(self, f: Mapping[int, int]) -> Fraction:
         """Objective value of f, a point of the program given on the whole domain.
@@ -71,12 +88,13 @@ class LipschitzProgram:
         f must be integer, 1-Lipschitz on the domain and meet f(y) - f(x) =
         d(x, y); otherwise one InternalConsistencyError names every problem.
         """
-        problems = _potential_violations(f, self.dist)
+        problems = _potential_violations(f, self.domain, self.rows)
         if f[self.y] - f[self.x] != self.d_xy:
             problems.append(f"f(y) - f(x) = {f[self.y] - f[self.x]}, expected {self.d_xy}")
         if problems:
             raise InternalConsistencyError(f"curvature potential: {'; '.join(problems)}")
-        return sum((c * f[u] for u, c in self.objective.items()), start=Fraction(0)) / self.d_xy
+        total = sum(map(mul, self.supply, map(f.__getitem__, self.domain)))
+        return Fraction(total, self.scale * self.d_xy)
 
     def solve(self) -> tuple[Fraction, dict[int, int]]:
         """Optimal value and one optimal integer f (with f(x) = 0).
@@ -85,14 +103,13 @@ class LipschitzProgram:
         certifies f through `value` before returning; an infeasible f, or one
         that does not attain the flow's value, raises InternalConsistencyError.
         """
-        x, y, d_xy, dist, domain = self.x, self.y, self.d_xy, self.dist, self.domain
-        scale, supply = _common_scale(self.objective)
-        net, amount = _metric_network(domain, dist, supply)
+        x, y, d_xy, domain = self.x, self.y, self.d_xy, self.domain
+        net, amount = _metric_network(self.arcs, self.supply)
         n, ix = len(domain), domain.index(x)
         net.add_edges([domain.index(y)], [ix], [amount + 1], [-d_xy])
         # By the triangle inequality these price every arc, y -> x included, at >= 0.
-        p = [dist[x, u] for u in domain] + [d_xy + 1, 0]
-        value = Fraction(-net.solve(n, n + 1, amount, p), scale * d_xy)
+        p = [*self.rows[ix], d_xy + 1, 0]
+        value = Fraction(-net.solve(n, n + 1, amount, p), self.scale * d_xy)
         f = {u: p[i] - p[ix] for i, u in enumerate(domain)}
         attained = self.value(f)
         if attained != value:
@@ -105,19 +122,15 @@ class LipschitzProgram:
 def build_lipschitz_program(g: Graph, x: int, y: int) -> LipschitzProgram:
     if x == y:
         raise ValueError("curvature requires two distinct vertices")
-    domain = sorted({x, y} | set(g.neighbors(x)) | set(g.neighbors(y)))
-    dist = _domain_metric(g, domain)
-    objective: dict[int, Fraction] = {}
-    deg_x, deg_y = g.degree(x), g.degree(y)
-    for z in g.neighbors(x):
-        objective[z] = objective.get(z, Fraction(0)) + Fraction(1, deg_x)
-    objective[x] = objective.get(x, Fraction(0)) - 1
-    for z in g.neighbors(y):
-        objective[z] = objective.get(z, Fraction(0)) - Fraction(1, deg_y)
-    objective[y] = objective.get(y, Fraction(0)) + 1
-    return LipschitzProgram(
-        x=x, y=y, d_xy=dist[x, y], domain=tuple(domain), dist=dist, objective=objective
-    )
+    near_x, near_y = set(g.neighbors(x)), set(g.neighbors(y))
+    domain = tuple(sorted({x, y} | near_x | near_y))
+    rows, arcs = _domain_metric(g, domain)
+    # Lf(x) - Lf(y) times L: L / deg x on Gamma(x), -L / deg y on Gamma(y), -L at x, L at y.
+    scale = lcm(len(near_x), len(near_y))
+    supply = [scale // len(near_x) * (z in near_x) - scale // len(near_y) * (z in near_y)
+              + scale * ((z == y) - (z == x)) for z in domain]
+    return LipschitzProgram(x, y, rows[domain.index(x)][domain.index(y)], domain, rows, arcs,
+                            supply, scale)
 
 
 def kappa_lly(g: Graph, x: int, y: int) -> Fraction:
@@ -126,13 +139,13 @@ def kappa_lly(g: Graph, x: int, y: int) -> Fraction:
     return value
 
 
-def _lazy_transport(g: Graph, x: int, y: int, alpha, measure=None) -> TransportResult:
+def _lazy_transport(g: Graph, x: int, y: int, alpha, measure=None, metric=None) -> TransportResult:
     """Exact transport between the alpha-lazy walk measures at x and y.
 
-    `measure(v, alpha)` is `lazy_measure` on g, or a memo such as `run_checks` keeps.
-    """
+    `measure(v, alpha)` is `lazy_measure` on g, or a memo such as `run_checks`
+    keeps; `metric` goes to `optimal_transport`."""
     measure = measure or partial(lazy_measure, g)
-    return optimal_transport(g, measure(x, alpha), measure(y, alpha))
+    return optimal_transport(g, measure(x, alpha), measure(y, alpha), metric=metric)
 
 
 def _kappa_alpha(g: Graph, x: int, y: int, alpha, distance) -> Fraction:

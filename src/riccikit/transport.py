@@ -3,18 +3,20 @@
 All masses, costs and distances are exact rationals. By Kantorovich-
 Rubinstein duality W1(m1, m2) is the min-cost transshipment of m1 - m2
 over the graph metric on D = supp m1 union supp m2, scaled to integers. It
-is solved on `_metric_network`, which the Lipschitz curvature program
-shares, by a primal-dual min-cost flow that starts from zero potentials and
-alternates blocking flows with potential raises across their cuts. The
-negated final potentials are an integer Kantorovich potential; a path
-decomposition of the flow is an optimal coupling.
+is solved on `_metric_network` over `_domain_metric`, which the Lipschitz
+curvature program shares, by a primal-dual min-cost flow that starts from
+zero potentials and alternates blocking flows with potential raises across
+their cuts. The negated final potentials are an integer Kantorovich
+potential; a path decomposition of the flow is an optimal coupling.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import gcd, lcm
+from operator import sub
 from typing import Mapping, Sequence
 
 from .graphs import Graph, distances_to
@@ -82,22 +84,30 @@ class Measure:
 
 
 def lazy_measure(g: Graph, x: int, alpha) -> Measure:
-    """Alpha-lazy random walk step measure: alpha at x, (1-alpha)/deg on neighbors."""
+    """Alpha-lazy random walk step measure: alpha at x, (1-alpha)/deg on neighbors.
+
+    At alpha = p/q < 1 the masses are integers at scale q deg: p deg at x and
+    q - p on each neighbour, which sum to the scale by construction."""
     alpha = _frac(alpha)
-    if not 0 <= alpha <= 1:
+    p, q = alpha.numerator, alpha.denominator
+    if not 0 <= p <= q:
         raise TransportError(f"alpha must lie in [0, 1], got {alpha}")
     if x not in g:
         raise TransportError(f"unknown vertex {x}")
-    if alpha == 1:
+    if p == q:
         return Measure({x: Fraction(1)})
     deg = g.degree(x)
     if deg == 0:
         raise TransportError(f"vertex {x} has no neighbors; lazy walk undefined for alpha < 1")
-    share = (1 - alpha) / deg
-    masses = {v: share for v in g.neighbors(x)}
-    if alpha > 0:
-        masses[x] = alpha
-    return Measure(masses)
+    units = dict.fromkeys(g.neighbors(x), q - p)
+    if p:
+        units[x] = p * deg
+    measure = Measure.__new__(Measure)  # valid by construction, so not checked again
+    measure._mass = dict.fromkeys(sorted(units), Fraction(q - p, q * deg))
+    if p:
+        measure._mass[x] = alpha
+    measure._units = q * deg, units
+    return measure
 
 
 @dataclass(frozen=True)
@@ -310,68 +320,66 @@ class _MinCostFlow:
         return pushed, level
 
 
-def _domain_metric(g: Graph, domain: Sequence[int]) -> dict[tuple[int, int], int]:
-    """Graph distance d(u, v) for every ordered pair of `domain`, by local searches."""
-    maps = {u: distances_to(g, u, domain) for u in domain}
-    return {(u, v): maps[u][v] for u in domain for v in domain}
+def _domain_metric(g: Graph, domain: Sequence[int]) -> tuple[list[list[int]], tuple]:
+    """The graph metric on a sorted `domain` as rows, and its spanning arcs.
 
-
-def _potential_violations(
-    f: Mapping[int, int], dist: Mapping[tuple[int, int], int]
-) -> list[str]:
-    """Why f is not an integer 1-Lipschitz potential on the pairs of `dist`.
-
-    Names the first non-integer value and the first pair (u, v) of `dist`
-    with f(v) - f(u) > d(u, v); empty if f is a valid potential.
+    rows[i][j] = d(domain[i], domain[j]), one local search per row. The arcs
+    (tails, heads, costs) join positions i -> j at cost d(u, v) for u =
+    domain[i], v = domain[j], kept if d(u, v) = 1 or no G-neighbour of u
+    inside the domain is one step closer to v. Their shortest-path closure
+    is d on the domain, by induction on d: a pair at distance 1 is an arc; a
+    dropped pair at distance d has a neighbour w in the domain with d(w, v) =
+    d - 1, whose closure is d - 1, and no path of arcs is shorter than d. So
+    potentials feasible for the kept arcs are 1-Lipschitz on the whole domain.
     """
-    odd = [v for v, fv in f.items() if not isinstance(fv, int)]
-    problems = [f"potential value at {odd[0]} is not an integer"] if odd else []
-    for (u, v), d in dist.items():
-        if f[v] - f[u] > d:
-            problems.append(f"potential violates 1-Lipschitz on ({u}, {v}): {f[v]} - {f[u]} > {d}")
-            break
-    return problems
-
-
-def _metric_network(
-    domain: Sequence[int], dist: Mapping[tuple[int, int], int], supply: Mapping[int, int]
-) -> tuple[_MinCostFlow, int]:
-    """Transshipment network of integer `supply` over the metric `dist` on `domain`.
-
-    Node i is domain[i]; s = n feeds the positive supplies and t = n + 1
-    drains the negative ones. Returns the network and the amount to push
-    s -> t. Domain arcs cost d(u, v) and have capacity above that amount, so
-    they never saturate and the final potentials satisfy each of them.
-
-    Only a spanning set of arcs is added: u -> v is kept if d(u, v) = 1 or
-    no G-neighbour of u inside the domain is one step closer to v. Their
-    shortest-path closure is d on the domain, by induction on d: a pair at
-    distance 1 is an arc; a dropped pair at distance d has a neighbour w in
-    the domain with d(w, v) = d - 1, whose closure is d - 1, and no path of
-    arcs is shorter than d. So potentials feasible for the kept arcs are
-    1-Lipschitz on the whole domain.
-    """
-    n = len(domain)
-    node = {u: i for i, u in enumerate(domain)}
-    amount = sum(c for c in supply.values() if c > 0)
-    tails = [n if c > 0 else node[u] for u, c in supply.items() if c]
-    heads = [node[u] if c > 0 else n + 1 for u, c in supply.items() if c]
-    caps = [abs(c) for c in supply.values() if c]
-    costs = [0] * len(caps)
-    rows = [[dist[u, v] for v in domain] for u in domain]
+    rows = [list(map(distances_to(g, u, domain).__getitem__, domain)) for u in domain]
+    tails, heads, costs = [], [], []
     for i, row in enumerate(rows):
         # around[j] holds d(w, domain[j]) for each G-neighbour w of domain[i]
         # in the domain. A row of distances 0 and 1 keeps its arcs without it.
         near = [r for r, d in zip(rows, row) if d == 1]
-        around = list(zip(*near)) if near and max(row) > 1 else [()] * n
+        around = list(zip(*near)) if near and max(row) > 1 else [()] * len(row)
         for j, d in enumerate(row):
             if d == 1 or i != j and d - 1 not in around[j]:
                 tails.append(i)
                 heads.append(j)
                 costs.append(d)
-    caps += [amount + 1] * (len(heads) - len(caps))
+    return rows, (tails, heads, costs)
+
+
+def _potential_violations(f: Mapping[int, int], domain: Sequence[int], rows) -> list[str]:
+    """Why f is not an integer 1-Lipschitz potential on `domain` under its metric `rows`.
+
+    Names the first non-integer value and the first pair (u, v), in row
+    order, with f(v) - f(u) > d(u, v); empty if f is a valid potential.
+    """
+    odd = [v for v, fv in f.items() if not isinstance(fv, int)]
+    problems = [f"potential value at {odd[0]} is not an integer"] if odd else []
+    values = [f[v] for v in domain]
+    for u, fu, row in zip(domain, values, rows):
+        if max(map(sub, values, row)) > fu:
+            v, fv, d = next(t for t in zip(domain, values, row) if t[1] - fu > t[2])
+            problems.append(f"potential violates 1-Lipschitz on ({u}, {v}): {fv} - {fu} > {d}")
+            break
+    return problems
+
+
+def _metric_network(arcs: tuple, supply: Sequence[int]) -> tuple[_MinCostFlow, int]:
+    """Transshipment network of integer `supply` over the `arcs` of `_domain_metric`.
+
+    Node i is the i-th domain vertex, of supply[i]; s = n feeds the positive
+    supplies and t = n + 1 drains the negative ones. Returns the network and
+    the amount to push s -> t. The arcs get capacity above that amount, so
+    they never saturate and the final potentials satisfy each of them."""
+    n = len(supply)
+    amount = sum(c for c in supply if c > 0)
+    tails = [n if c > 0 else i for i, c in enumerate(supply) if c]
+    heads = [i if c > 0 else n + 1 for i, c in enumerate(supply) if c]
+    caps = [abs(c) for c in supply if c]
+    arc_tails, arc_heads, arc_costs = arcs
     net = _MinCostFlow(n + 2)
-    net.add_edges(tails, heads, caps, costs)
+    net.add_edges(tails + arc_tails, heads + arc_heads,
+                  caps + [amount + 1] * len(arc_heads), [0] * len(caps) + arc_costs)
     return net, amount
 
 
@@ -414,34 +422,32 @@ def _coupling(
     return units
 
 
-def optimal_transport(g: Graph, m1: Measure, m2: Measure) -> TransportResult:
+def optimal_transport(g: Graph, m1: Measure, m2: Measure, metric=None) -> TransportResult:
     """Exact Wasserstein distance, an optimal coupling, and an integer potential.
 
-    Masses are scaled to integers by the lcm of their denominators; the
-    solve and its certificate stay at that scale.
-    """
-    domain = sorted(set(m1.support()) | set(m2.support()))
+    The measures' integer masses are brought to the lcm of their scales, where
+    the solve and its certificate stay. `metric(domain)`, for a sorted domain
+    tuple, is `_domain_metric` on g or a memo of it as `run_checks` keeps."""
+    domain = tuple(sorted(set(m1.support()) | set(m2.support())))
     foreign = [v for v in domain if v not in g]
     if foreign:
         raise TransportError(f"a measure puts mass on vertex {foreign[0]} not in the graph")
-    scale, source, target = _common_scale(m1, m2)
-    supply = dict.fromkeys(domain, 0)
-    for v, c in source.items():
-        supply[v] += c
-    for v, c in target.items():
-        supply[v] -= c
+    (s1, units1), (s2, units2) = m1._units, m2._units
+    scale = lcm(s1, s2)
+    source = {v: c * (scale // s1) for v, c in units1.items()}
+    target = {v: c * (scale // s2) for v, c in units2.items()}
     n = len(domain)
-    dist = _domain_metric(g, domain)
-    net, amount = _metric_network(domain, dist, supply)
+    rows, arcs = (metric or partial(_domain_metric, g))(domain)
+    net, amount = _metric_network(arcs, [source.get(v, 0) - target.get(v, 0) for v in domain])
     p = [0] * (n + 2)  # every arc cost is >= 0
     total = net.solve(n, n + 1, amount, p)
     anchor = min(m1.support())
     base = p[domain.index(anchor)]
     f = {v: base - p[i] for i, v in enumerate(domain)}
     units = _coupling(net, domain, source, target)
-    # Certify the solve at its scale against `dist`, the metric its network
+    # Certify the solve at its scale against `rows`, the metric its network
     # was built on, before any mass becomes a Fraction.
-    violations = _duality_violations(units, source, target, f, dist, scale, total)
+    violations = _duality_violations(units, source, target, f, domain, rows, scale, total)
     if violations:
         raise InternalConsistencyError("; ".join(violations))
     plan = TransportPlan({key: Fraction(c, scale) for key, c in units.items()}, m1, m2)
@@ -462,15 +468,16 @@ class IdlenessPieces:
     splits [a, b]. `pieces` lists (a, b, f, (c0, slope)): ends (alpha, W *
     scale, scale, plan units at that scale) and an integer potential f whose
     dual line c0 + alpha * slope is W on [a, b]. `transport(x, y, alpha)`
-    gives a TransportResult, `measure(v, alpha)` a lazy measure.
+    gives a TransportResult, `measure(v, alpha)` a lazy measure, and
+    `metric(domain)` the metric rows and arcs, as `optimal_transport` takes it.
     """
 
-    __slots__ = ("pieces", "_x", "_y", "_dist", "_measure")
+    __slots__ = ("pieces", "_x", "_y", "_domain", "_rows", "_measure")
 
-    def __init__(self, g: Graph, x: int, y: int, transport, measure):
-        domain = sorted({x, y, *g.neighbors(x), *g.neighbors(y)})
-        self._x, self._y, self._measure = x, y, measure
-        self._dist = dist = _domain_metric(g, domain)
+    def __init__(self, g: Graph, x: int, y: int, transport, measure, metric=None):
+        domain = tuple(sorted({x, y, *g.neighbors(x), *g.neighbors(y)}))
+        self._x, self._y, self._measure, self._domain = x, y, measure, domain
+        self._rows = rows = (metric or partial(_domain_metric, g))(domain)[0]
 
         def point(alpha, w, plan, f):  # f's dual line is c0 + alpha * slope: (c0, slope)
             c0 = (Fraction(sum(f[v] for v in g.neighbors(x)), g.degree(x))
@@ -483,7 +490,7 @@ class IdlenessPieces:
             return point(alpha, result.distance, result.plan.entries, result.potential.values)
 
         half = solve(Fraction(1, 2))
-        one = point(1, 1, {(x, y): 1}, {v: dist[v, y] for v in domain})
+        one = point(1, 1, {(x, y): 1}, dict(zip(domain, rows[domain.index(y)])))
         stack, found = [(half, one), (solve(Fraction(0)), half)], []
         while stack:
             lo, hi = stack.pop()
@@ -522,7 +529,7 @@ class IdlenessPieces:
         problems = _duality_violations(
             {k: c // common * up for k, c in units.items() if c},
             {v: c * up1 for v, c in source.items()}, {v: c * up2 for v, c in target.items()},
-            f, self._dist, scale, w * scale)
+            f, self._domain, self._rows, scale, w * scale)
         if problems:
             raise InternalConsistencyError(
                 f"idleness piece of ({self._x}, {self._y}), alpha {alpha}: {'; '.join(problems)}")
@@ -555,13 +562,17 @@ class DualityCheck:
         return self.ok
 
 
-def verify_duality(plan: TransportPlan, potential: DualPotential, g: Graph) -> DualityCheck:
+def verify_duality(
+    plan: TransportPlan, potential: DualPotential, g: Graph, metric=None
+) -> DualityCheck:
     """True iff plan and potential are feasible and their values agree exactly.
 
     The plan and both measures are scaled to one integer scale
     (`_common_scale`) and checked by the certificate that
-    `optimal_transport` runs. An entry that is not a finite number is
-    reported and left out of the scaled plan.
+    `optimal_transport` runs, against the metric rows on the potential's and
+    the plan's vertices (`metric` as `optimal_transport` takes it). An entry
+    that is not a finite number is reported and left out of the scaled plan;
+    a vertex that is not in g is reported, and then nothing is measured.
     """
     entries, problems = {}, []
     for (u, v), mass in plan.entries.items():
@@ -569,10 +580,16 @@ def verify_duality(plan: TransportPlan, potential: DualPotential, g: Graph) -> D
             entries[u, v] = _frac(mass)
         except (ValueError, OverflowError):  # a NaN or infinite float
             problems.append(f"non-finite plan entry at ({u}, {v})")
-    scale, units, source, target = _common_scale(entries, plan.source, plan.target)
-    vertices = set(potential.values).union(*plan.entries)
-    problems += _duality_violations(units, source, target, potential.values,
-                                    _domain_metric(g, sorted(vertices)), scale)
+    problems += [f"plan entry at ({u}, {v}) leaves the graph"
+                 for u, v in plan.entries if u not in g or v not in g]
+    problems += [f"potential defined at vertex {v}, not in the graph"
+                 for v in potential.values if v not in g]
+    domain = tuple(sorted(set(potential.values).union(*plan.entries)))
+    if all(v in g for v in domain):
+        scale, units, source, target = _common_scale(entries, plan.source, plan.target)
+        rows = (metric or partial(_domain_metric, g))(domain)[0]
+        problems += _duality_violations(units, source, target, potential.values, domain, rows,
+                                        scale)
     return DualityCheck(not problems, tuple(problems))
 
 
@@ -581,41 +598,43 @@ def _duality_violations(
     source: Mapping[int, int],
     target: Mapping[int, int],
     f: Mapping[int, int],
-    dist: Mapping[tuple[int, int], int],
+    domain: Sequence[int],
+    rows: Sequence[Sequence[int]],
     scale: int,
     distance: int | None = None,
 ) -> list[str]:
-    """Every way a plan and a potential fail to certify each other under `dist`.
+    """Every way a plan and a potential fail to certify each other under `rows`.
 
     Everything is at one integer scale: `units` are the plan entries times
     `scale`, `source` and `target` the masses of the two measures times
     `scale` (support only), and `distance`, if given, the reported distance
     times `scale`, which the dual value must equal. `f` is the potential.
-    `dist` must hold d(u, v) for every pair of f's domain, in sorted order,
-    and for every plan entry. Values enter a Fraction only in a message.
+    `rows` is the metric on the sorted `domain`, which holds f's domain and
+    every vertex of the plan. Values enter a Fraction only in a message.
     """
     problems = []
-    rows: dict[int, int] = {}
-    cols: dict[int, int] = {}
+    out: dict[int, int] = {}
+    into: dict[int, int] = {}
     for (u, v), c in units.items():
         if c < 0:
             problems.append(f"negative plan entry at ({u}, {v})")
-        rows[u] = rows.get(u, 0) + c
-        cols[v] = cols.get(v, 0) + c
-    if rows != source:
+        out[u] = out.get(u, 0) + c
+        into[v] = into.get(v, 0) + c
+    if out != source:
         problems.append("plan row sums do not equal the source measure")
-    if cols != target:
+    if into != target:
         problems.append("plan column sums do not equal the target measure")
     missing = (source.keys() | target.keys()) - f.keys()
     if missing:
         problems.append(f"potential undefined on support vertices {sorted(missing)}")
         return problems
-    pairs = dist
-    if len(dist) != len(f) ** 2:  # dist reaches past f's domain
-        domain = sorted(f)
-        pairs = {(u, v): dist[u, v] for u in domain for v in domain}
-    problems += _potential_violations(f, pairs)
-    primal = sum(c * dist[key] for key, c in units.items())
+    index = {v: i for i, v in enumerate(domain)}
+    own = domain, rows
+    if len(f) != len(domain):  # the domain reaches past f's
+        keep = [index[v] for v in sorted(f)]
+        own = [domain[i] for i in keep], [[rows[i][j] for j in keep] for i in keep]
+    problems += _potential_violations(f, *own)
+    primal = sum(c * rows[index[u]][index[v]] for (u, v), c in units.items())
     dual = (sum(f[v] * c for v, c in source.items())
             - sum(f[v] * c for v, c in target.items()))
     if primal != dual:

@@ -267,3 +267,20 @@ def oracle_duality_violations(plan, potential, dist, distance=None) -> list[str]
     if distance is not None and dual != distance:
         problems.append("dual value disagrees with the reported distance")
     return problems
+
+
+def oracle_objective(g: Graph, x: int, y: int) -> dict[int, Fraction]:
+    """The curvature program's objective as `Fraction` coefficients per vertex.
+
+    Lf(x) - Lf(y) = sum of c_u f(u) with 1/deg x on each neighbour of x, -1 at
+    x, -1/deg y on each neighbour of y and +1 at y, summed where they meet:
+    the reference for the integer supplies of `build_lipschitz_program`.
+    """
+    objective: dict[int, Fraction] = {}
+    for z in g.neighbors(x):
+        objective[z] = objective.get(z, Fraction(0)) + Fraction(1, g.degree(x))
+    objective[x] = objective.get(x, Fraction(0)) - 1
+    for z in g.neighbors(y):
+        objective[z] = objective.get(z, Fraction(0)) - Fraction(1, g.degree(y))
+    objective[y] = objective.get(y, Fraction(0)) + 1
+    return objective

@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+import riccikit.curvature
 import riccikit.transport
 from riccikit import families
 from riccikit.checks import ALL_CHECKS, run_checks
@@ -113,6 +114,22 @@ def test_verify_builds_each_lazy_measure_once(tmp_path, monkeypatch):
     calls = _count_calls(monkeypatch, riccikit.transport.lazy_measure)
     assert main(["verify", "--input", str(path), "--seed", "5"]) == 0
     assert calls and len(calls) == len(set(calls))
+
+
+def test_verify_builds_each_transport_metric_once(tmp_path, monkeypatch):
+    # The transport solves, the idleness pieces and the duality re-check of
+    # one verify all read one metric per domain. The report's own programs
+    # build theirs in curvature, which is left unwrapped here.
+    g, rot = families.prism(3)
+    path = tmp_path / "prism3.rot"
+    path.write_text(to_rotation_text(rot))
+    original = riccikit.transport._domain_metric
+    calls = _count_calls(monkeypatch, original)
+    monkeypatch.setattr(riccikit.curvature, "_domain_metric", original)
+    assert main(["verify", "--input", str(path), "--seed", "5"]) == 0
+    domains = [c[1] for c in calls]
+    edge_domains = {tuple(sorted({x, y, *g.neighbors(x), *g.neighbors(y)})) for x, y in g.edges()}
+    assert len(domains) == len(set(domains)) and set(domains) == edge_domains
 
 
 def test_shared_transport_solves_change_no_result():

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import riccikit
+from riccikit import cli
 from riccikit.checks import ALL_CHECKS
 from riccikit.cli import main
 from riccikit import families
@@ -338,6 +339,37 @@ def test_cli_import_loads_no_process_machinery():
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                             text=True, timeout=60, check=True)
     assert result.stdout == "[]\n"
+
+
+def test_parser_is_built_once_and_reused(tmp_path, capsys):
+    # Importing the CLI builds no parser; the first `main` call builds it and
+    # later calls reuse it, with the same help text and the same error exits.
+    src = str(Path(riccikit.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = "import riccikit.cli as c; print(c._parser.cache_info().currsize)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, timeout=60, check=True)
+    assert result.stdout == "0\n"
+    cli._parser.cache_clear()
+    path = tmp_path / "k3.edges"
+    path.write_text(to_edgelist_text(families.complete(3)[0]))
+    first = run_cli(capsys, "transport", "--input", str(path), "0", "1", "--alpha", "0")
+    second = run_cli(capsys, "verify", "--input", str(path), "--checks", "duality")
+    assert first[0] == 0 and first[1].startswith("W = 1/2\nplan (u v mass):\n")
+    assert second == (0, "PASS duality: 9 primal/dual pairs agree exactly\n", "")
+    assert cli._parser.cache_info().misses == 1
+    fresh = cli.build_parser().format_help()
+    for argv, code in [(["--help"], 0), (["curvature"], 2), (["verify", "--seed", "x"], 2)]:
+        outputs = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == code
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        if code == 0:
+            assert outputs[0].out == fresh
+    assert cli._parser.cache_info().misses == 1
 
 
 def test_format_flag_overrides_sniffing(tmp_path, capsys):

@@ -1,6 +1,8 @@
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 
@@ -29,7 +31,13 @@ from riccikit.graphs import (
 )
 from riccikit.transport import InternalConsistencyError, _MinCostFlow
 
-from oracles import oracle_kappa, random_connected_graph, relabeled, star_with_pendants
+from oracles import (
+    oracle_kappa,
+    oracle_objective,
+    random_connected_graph,
+    relabeled,
+    star_with_pendants,
+)
 
 
 def test_kappa_lly_k2(k2):
@@ -130,6 +138,50 @@ def test_lipschitz_program_rejects_a_broken_certificate(c6, monkeypatch):
     monkeypatch.setattr(_MinCostFlow, "solve", solve_then_zero_potentials)
     with pytest.raises(InternalConsistencyError, match=r"f\(y\) - f\(x\)"):
         build_lipschitz_program(c6, 0, 1).solve()
+
+
+def test_integer_objective_matches_the_fraction_objective():
+    # The supplies are built at lcm(deg x, deg y); the oracle keeps the
+    # objective as Fractions. Both must give the same value for every point
+    # and the same solve, down to the optimal f.
+    rng = random.Random(404)
+    pairs = 0
+    for _ in range(25):
+        g = random_connected_graph(rng, n_max=10)
+        for x, y in combinations(g.vertices, 2):
+            prog = build_lipschitz_program(g, x, y)
+            reference = oracle_objective(g, x, y)
+            assert prog.objective == reference
+            scale = lcm(*(c.denominator for c in reference.values()))
+            fractional = dataclasses.replace(
+                prog, scale=scale, supply=[int(reference[u] * scale) for u in prog.domain])
+            value, f = prog.solve()
+            assert fractional.solve() == (value, f)
+            dist = prog.dist
+            points = [f, {u: dist[x, u] for u in prog.domain},
+                      {u: prog.d_xy - dist[u, y] for u in prog.domain}]
+            for point in points:
+                assert prog.value(point) == sum(
+                    (c * point[u] for u, c in reference.items()), Fraction(0)) / prog.d_xy
+            pairs += 1
+    assert pairs > 200
+
+
+def test_a_lowered_row_entry_fails_the_program_certificate():
+    # The flow reads the arcs and the start row d(x, .); the certificate reads
+    # every row. Lowering one entry on a pair that f makes tight, outside the
+    # row of x, must make solve raise rather than return.
+    g = families.wheel(6)[0]
+    for x, y in [(0, 1), (6, 0)]:
+        prog = build_lipschitz_program(g, x, y)
+        _, f = prog.solve()
+        ix = prog.domain.index(x)
+        i, j = next((i, j) for i, u in enumerate(prog.domain) for j, v in enumerate(prog.domain)
+                    if i != ix and i != j and f[v] - f[u] == prog.rows[i][j])
+        rows = [list(row) for row in prog.rows]
+        rows[i][j] -= 1
+        with pytest.raises(InternalConsistencyError, match="1-Lipschitz"):
+            dataclasses.replace(prog, rows=rows).solve()
 
 
 def test_program_value_certifies_its_point(c6):

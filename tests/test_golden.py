@@ -13,13 +13,15 @@ from __future__ import annotations
 import contextlib
 import io
 import random
+from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 from riccikit import families
 from riccikit.cli import main
-from riccikit.graphs import to_edgelist_text, to_rotation_text
+from riccikit.graphs import Graph, to_edgelist_text, to_rotation_text
 
 from oracles import random_connected_graph
 
@@ -28,6 +30,16 @@ RANDOM_SEEDS = (11, 12, 13)
 # Graphs with more than 12 edges, so each transport check of `verify` draws
 # its own edge sample; random_37 has 12 vertices and 19 edges.
 SAMPLED = (("prism_8", "rot"), ("antiprism_8", "rot"), ("random_37", "edges"))
+# Dense inputs, stored as edge lists: every lly program has a large domain.
+DENSE = (("complete", 12), ("wheel", 20), ("hypercube", 4), ("complete", 8))
+GNP = (16, Fraction(2, 5), 3)  # vertices, edge probability, seed
+
+
+def gnp_graph(n: int, p: Fraction, seed: int) -> Graph:
+    """Seeded G(n, p): each vertex pair is an edge with probability p."""
+    rng = random.Random(seed)
+    return Graph((u, v) for u, v in combinations(range(n), 2) if rng.random() < p)
+
 
 # (stored output, input file, command and options before --input)
 CASES = [
@@ -42,6 +54,10 @@ CASES = [
     # Plans and potentials depend on the flow engine's arc order, not only on W.
     ("figure1.transport.out", "figure1.rot", ("transport", "0", "8", "--alpha", "2/3")),
     ("wheel_7.transport.out", "wheel_7.rot", ("transport", "7", "2", "--alpha", "1/3")),
+    *((f"{name}.lly.out", f"{name}.edges", ("curvature", "--mode", "lly", "--jobs", "1"))
+      for name in ("complete_12", "wheel_20", "hypercube_4", "gnp_16")),
+    ("complete_8.transport.out", "complete_8.edges", ("transport", "0", "1", "--alpha", "1/3")),
+    ("hypercube_4.transport.out", "hypercube_4.edges", ("transport", "0", "15", "--alpha", "0")),
 ]
 
 
@@ -72,6 +88,10 @@ def _write_inputs() -> None:
     for seed in (*RANDOM_SEEDS, 37):
         g = random_connected_graph(random.Random(seed))
         (GOLDEN / f"random_{seed}.edges").write_text(to_edgelist_text(g), encoding="utf-8")
+    dense = [(families.FamilySpec(*spec).label(), families.FamilySpec(*spec).build()[0])
+             for spec in DENSE]
+    for label, g in [*dense, (f"gnp_{GNP[0]}", gnp_graph(*GNP))]:
+        (GOLDEN / f"{label}.edges").write_text(to_edgelist_text(g), encoding="utf-8")
 
 
 def regenerate() -> None:

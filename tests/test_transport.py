@@ -30,10 +30,22 @@ half = Fraction(1, 2)
 
 
 def certify(plan, potential, dist, distance=None):
-    """The integer certificate on a Fraction plan, scaled as verify_duality scales it."""
+    """The integer certificate on a Fraction plan, scaled as verify_duality scales it.
+
+    `dist` maps every ordered pair of a domain to its distance; it is handed
+    to the certificate as rows over the sorted domain."""
     scale, units, source, target = _common_scale(plan.entries, plan.source, plan.target)
     scaled = None if distance is None else distance * scale
-    return _duality_violations(units, source, target, potential.values, dist, scale, scaled)
+    domain = sorted({u for u, _ in dist})
+    rows = [[dist[u, v] for v in domain] for u in domain]
+    return _duality_violations(units, source, target, potential.values, domain, rows, scale,
+                               scaled)
+
+
+def pair_metric(g, domain):
+    """d(u, v) for every ordered pair of `domain`, read from `_domain_metric`'s rows."""
+    rows, _ = _domain_metric(g, domain)
+    return {(u, v): d for u, row in zip(domain, rows) for v, d in zip(domain, row)}
 
 
 def test_measure_validation():
@@ -509,7 +521,7 @@ def test_duality_core_flags_a_corrupted_metric_or_plan():
         if not result.distance:  # m1 = m2 (e.g. on a triangle): nothing moves
             continue
         plan, pot = result.plan, result.potential
-        dist = _domain_metric(g, sorted(pot.values))
+        dist = pair_metric(g, sorted(pot.values))
         assert certify(plan, pot, dist) == []
         moved = [(u, v) for (u, v) in plan.entries if u != v]
         tight = [(u, v) for (u, v), d in dist.items() if d and pot[v] - pot[u] == d]
@@ -585,7 +597,7 @@ def test_integer_certificate_matches_the_fraction_reference():
         if not result.distance:
             continue
         plan, pot, distance = result.plan, result.potential, result.distance
-        dist = _domain_metric(g, sorted(pot.values))
+        dist = pair_metric(g, sorted(pot.values))
         assert certify(plan, pot, dist, distance) == oracle_duality_violations(
             plan, pot, dist, distance) == []
         wrong = distance + Fraction(1, 12)
@@ -596,7 +608,7 @@ def test_integer_certificate_matches_the_fraction_reference():
             assert certify(bad_plan, bad_pot, bad_dist) == reference
             if bad_dist is dist:  # the public check builds the metric itself
                 vertices = set(bad_pot.values).union(*bad_plan.entries)
-                full = _domain_metric(g, sorted(vertices))
+                full = pair_metric(g, sorted(vertices))
                 assert verify_duality(bad_plan, bad_pot, g).violations == tuple(
                     oracle_duality_violations(bad_plan, bad_pot, full))
             corrupted += 1
@@ -607,7 +619,7 @@ def test_integer_certificate_matches_the_fraction_reference():
             key = next(k for k in plan.entries if k[0] != k[1])
             bad_plan = TransportPlan({**plan.entries, (key[0], far[0]): half}, plan.source,
                                      plan.target)
-            full = _domain_metric(g, sorted(set(pot.values) | {far[0]}))
+            full = pair_metric(g, sorted(set(pot.values) | {far[0]}))
             reference = oracle_duality_violations(bad_plan, pot, full)
             assert "plan column sums do not equal the target measure" in reference
             assert verify_duality(bad_plan, pot, g).violations == tuple(reference)
@@ -642,3 +654,54 @@ def test_a_corrupted_decomposition_is_an_internal_fault(fault, monkeypatch):
     with pytest.raises(InternalConsistencyError,
                        match="duality gap" if fault == "swap targets" else "row sums"):
         optimal_transport(g, m1, m2)
+
+
+def test_domain_metric_rows_match_networkx():
+    # rows[i][j] = d(domain[i], domain[j]) on edge domains N[x] | N[y] and on
+    # random vertex sets, against networkx shortest paths on the whole graph.
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(2020)
+    checked = 0
+    for _ in range(40):
+        g = random_connected_graph(rng, n_max=14, max_degree=5)
+        h = nx.Graph(list(g.edges()))
+        h.add_nodes_from(g.vertices)
+        lengths = dict(nx.all_pairs_shortest_path_length(h))
+        domains = [tuple(sorted({x, y, *g.neighbors(x), *g.neighbors(y)})) for x, y in g.edges()]
+        domains += [tuple(sorted(rng.sample(g.vertices, rng.randint(1, g.vertex_count))))
+                    for _ in range(3)]
+        for domain in domains:
+            rows, _ = _domain_metric(g, domain)
+            assert rows == [[lengths[u][v] for v in domain] for u in domain]
+            checked += 1
+    assert checked > 200
+
+
+def test_a_lowered_row_entry_fails_the_transport_certificate():
+    # The network is built on the arcs; the certificate reads the rows. A
+    # metric whose row entry on a moved pair is one too low must raise.
+    g, _ = families.cycle(8)
+    m1, m2 = Measure({0: half, 1: half}), Measure({4: half, 6: half})
+    plan = optimal_transport(g, m1, m2).plan
+    (u, v), _ = next((k, m) for k, m in plan.entries.items() if k[0] != k[1])
+
+    def lowered(domain):
+        rows, arcs = _domain_metric(g, domain)
+        rows[domain.index(u)][domain.index(v)] -= 1
+        return rows, arcs
+
+    with pytest.raises(InternalConsistencyError, match="duality gap"):
+        optimal_transport(g, m1, m2, metric=lowered)
+
+
+def test_verify_duality_reports_vertices_off_the_graph(path3):
+    # A plan entry or a potential value at a vertex that is not in g has no
+    # distance; it is a named violation, not a GraphError.
+    m1, m2 = Measure({0: half, 1: half}), Measure({2: 1})
+    pot = DualPotential({0: 2, 1: 1, 2: 0}, anchor=0)
+    plan = TransportPlan({(0, 2): half, (1, 2): half}, m1, m2)
+    assert verify_duality(plan, pot, path3)
+    check = verify_duality(TransportPlan({(0, 99): half, (1, 2): half}, m1, m2), pot, path3)
+    assert check.violations == ("plan entry at (0, 99) leaves the graph",)
+    check = verify_duality(plan, DualPotential({**pot.values, 99: 0}, anchor=0), path3)
+    assert check.violations == ("potential defined at vertex 99, not in the graph",)
