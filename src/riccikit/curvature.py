@@ -5,20 +5,25 @@ kappa_lly solves the Lipschitz program
     minimize (Lf(x) - Lf(y)) / d(x, y)
     subject to f(y) - f(x) = d(x, y) and f(v) - f(u) <= d(u, v)
 
-over U = {x, y} union Gamma(x) union Gamma(y), where Lf(w) is the degree-
-averaged Laplacian. Any 1-Lipschitz f on U extends to the whole graph
-without changing the objective, so restricting to U is exact.
+over S = {x, y} union {z : c_z != 0}, where Lf(w) is the degree-averaged
+Laplacian and c_z is the coefficient of f(z) in Lf(x) - Lf(y). Every such z
+lies in U = {x, y} union Gamma(x) union Gamma(y); S drops only the common
+neighbours when deg x = deg y. Any 1-Lipschitz f on S extends to the whole
+graph with the same values on S, by McShane's F(u) = min over s in S of
+f(s) + d(s, u) (Bull. AMS 40, 1934), and the objective reads only S, so
+restricting to S is exact.
 
 The program is a system of difference constraints, so its dual is an
-integer transshipment problem on U: supplies are the objective built in
+integer transshipment problem on S: supplies are the objective built in
 integers at scale L = lcm(deg x, deg y), constraint arcs u -> v of cost
 d(u, v) are uncapacitated, and one arc y -> x of cost -d(x, y) encodes the
 gradient constraint. The optimum is -(min cost) / (L d(x, y)). The flow
-starts from the potentials d(x, .) on U, which price every arc at >= 0, and
-its final potentials are an optimal integer f. The metric on U is held as
-rows by position in U, with the spanning arcs of `transport._domain_metric`:
-their shortest-path closure is d on U, so the optimum is unchanged.
-Lazy-walk transport solves the same network without the gradient arc.
+starts from the potentials d(x, .) on S, which price every arc at >= 0, and
+its final potentials are an optimal integer f. The metric on S is held as
+rows by position in S, with the spanning arcs of `transport._domain_metric`:
+their shortest-path closure is d on S, so the optimum is unchanged.
+Lazy-walk transport solves the same network without the gradient arc, on
+the union of its two supports.
 
 The independent lazy-walk slope engine, the enumeration oracle and the
 reference simplex in the test suite cross-check this.
@@ -60,8 +65,12 @@ class EmbeddingError(ValueError):
 class LipschitzProgram:
     """Exact LP data for one vertex pair: domain, metric, and integer objective.
 
-    `rows` and `arcs` are `transport._domain_metric` of the domain; supply[i]
-    is the objective's coefficient at domain[i] times `scale`."""
+    The domain is S of the module docstring: x, y and every vertex of
+    nonzero coefficient, sorted. `rows` and `arcs` are
+    `transport._domain_metric` of the domain; supply[i] is the objective's
+    coefficient at domain[i] times `scale`, nonzero at every position. A
+    point f of the program, as `value` takes and `solve` returns, is given
+    on the domain only."""
 
     x: int
     y: int
@@ -123,14 +132,15 @@ def build_lipschitz_program(g: Graph, x: int, y: int) -> LipschitzProgram:
     if x == y:
         raise ValueError("curvature requires two distinct vertices")
     near_x, near_y = set(g.neighbors(x)), set(g.neighbors(y))
-    domain = tuple(sorted({x, y} | near_x | near_y))
-    rows, arcs = _domain_metric(g, domain)
     # Lf(x) - Lf(y) times L: L / deg x on Gamma(x), -L / deg y on Gamma(y), -L at x, L at y.
     scale = lcm(len(near_x), len(near_y))
-    supply = [scale // len(near_x) * (z in near_x) - scale // len(near_y) * (z in near_y)
-              + scale * ((z == y) - (z == x)) for z in domain]
+    supply = {z: scale // len(near_x) * (z in near_x) - scale // len(near_y) * (z in near_y)
+              + scale * ((z == y) - (z == x)) for z in {x, y} | near_x | near_y}
+    # S: U less the common neighbours at deg x = deg y, whose coefficients cancel.
+    domain = tuple(sorted([z for z, c in supply.items() if c or z in (x, y)]))
+    rows, arcs = _domain_metric(g, domain)
     return LipschitzProgram(x, y, rows[domain.index(x)][domain.index(y)], domain, rows, arcs,
-                            supply, scale)
+                            [supply[z] for z in domain], scale)
 
 
 def kappa_lly(g: Graph, x: int, y: int) -> Fraction:

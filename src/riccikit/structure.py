@@ -154,10 +154,14 @@ def lemma4_witness(g: Graph, x: int, y: int, subset: Iterable[int]) -> Lipschitz
 
     f = 1 on {y} union S, f = -1 on Gamma(x) minus (Gamma(S) union Gamma(y)),
     f = 0 elsewhere, with the +1 class taking precedence. Both classes lie in
-    the domain of the edge's Lipschitz program, which certifies f as one of
-    its points and evaluates it: at d(x, y) = 1 the objective is the
-    Laplacian gradient Lf(x) - Lf(y), an upper bound on kappa(x, y). On a
-    failing instance that bound is <= 0.
+    U = {x, y} union Gamma(x) union Gamma(y), and f is 1-Lipschitz on the
+    whole graph: no -1 vertex is y, or adjacent to y or to a member of S.
+    The edge's Lipschitz program certifies f on its domain, U less the
+    common neighbours at deg x = deg y (so possibly less some members of
+    S), and evaluates it: those vertices have coefficient 0, so the value is
+    f's on U. At d(x, y) = 1 the objective is the Laplacian gradient
+    Lf(x) - Lf(y), an upper bound on kappa(x, y). On a failing instance
+    that bound is <= 0.
     """
     instance, gs = _evaluate(g, x, y, _validate_lemma4_inputs(g, x, y, subset))
     if instance.holds:

@@ -4,7 +4,9 @@ Nothing here reuses solver code from the package: transport distances come
 from integer dual enumeration, curvature values from integer enumeration of
 Lipschitz functions, and LP optima from basic-solution enumeration. All of
 these are exact because the underlying polytopes are difference-constraint
-systems with integral vertices.
+systems with integral vertices. The one exception is `oracle_full_program`,
+which feeds the package's own program class a wider domain so that the
+package's domain restriction can be tested against it.
 """
 
 from __future__ import annotations
@@ -12,8 +14,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
+from riccikit.curvature import LipschitzProgram
 from riccikit.graphs import Graph, bfs_distances
+from riccikit.transport import _domain_metric
 
 
 def all_pairs_distances(g: Graph) -> dict[tuple[int, int], int]:
@@ -284,3 +289,19 @@ def oracle_objective(g: Graph, x: int, y: int) -> dict[int, Fraction]:
         objective[z] = objective.get(z, Fraction(0)) - Fraction(1, g.degree(y))
     objective[y] = objective.get(y, Fraction(0)) + 1
     return objective
+
+
+def oracle_full_program(g: Graph, x: int, y: int) -> LipschitzProgram:
+    """The curvature program over all of U = {x, y} + both neighbourhoods.
+
+    The metric is `_domain_metric` on U and the supplies are
+    `oracle_objective` at the lcm of its denominators, zero coefficients
+    kept: the reference for `build_lipschitz_program`, whose domain leaves
+    out the vertices of coefficient 0.
+    """
+    objective = oracle_objective(g, x, y)
+    domain = tuple(sorted(objective))
+    scale = lcm(*(c.denominator for c in objective.values()))
+    rows, arcs = _domain_metric(g, domain)
+    return LipschitzProgram(x, y, rows[domain.index(x)][domain.index(y)], domain, rows, arcs,
+                            [int(objective[u] * scale) for u in domain], scale)

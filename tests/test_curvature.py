@@ -32,6 +32,7 @@ from riccikit.graphs import (
 from riccikit.transport import InternalConsistencyError, _MinCostFlow
 
 from oracles import (
+    oracle_full_program,
     oracle_kappa,
     oracle_objective,
     random_connected_graph,
@@ -142,8 +143,9 @@ def test_lipschitz_program_rejects_a_broken_certificate(c6, monkeypatch):
 
 def test_integer_objective_matches_the_fraction_objective():
     # The supplies are built at lcm(deg x, deg y); the oracle keeps the
-    # objective as Fractions. Both must give the same value for every point
-    # and the same solve, down to the optimal f.
+    # objective as Fractions over all of U. The program's domain drops
+    # exactly U's zero coefficients. Both must give the same value for every
+    # point and the same solve, down to the optimal f.
     rng = random.Random(404)
     pairs = 0
     for _ in range(25):
@@ -151,6 +153,8 @@ def test_integer_objective_matches_the_fraction_objective():
         for x, y in combinations(g.vertices, 2):
             prog = build_lipschitz_program(g, x, y)
             reference = oracle_objective(g, x, y)
+            assert all(c == 0 for u, c in reference.items() if u not in prog.domain)
+            reference = {u: reference[u] for u in prog.domain}
             assert prog.objective == reference
             scale = lcm(*(c.denominator for c in reference.values()))
             fractional = dataclasses.replace(
@@ -165,6 +169,42 @@ def test_integer_objective_matches_the_fraction_objective():
                     (c * point[u] for u, c in reference.items()), Fraction(0)) / prog.d_xy
             pairs += 1
     assert pairs > 200
+
+
+def test_program_matches_the_program_over_both_neighbourhoods():
+    # The package's program leaves out U's zero coefficients. McShane's
+    # extension F(u) = min over s in S of f(s) + d(s, u) carries its optimal f
+    # to a point of the program over all of U that attains the same value.
+    rng = random.Random(2119)
+    graphs = [random_connected_graph(rng, n_max=10) for _ in range(20)]
+    graphs += [families.complete(n)[0] for n in (3, 6, 9)]
+    graphs += [families.wheel(n)[0] for n in (5, 8)]
+    graphs += [families.icosahedron()[0], families.figure1()[0]]
+    seen = {"adjacent": 0, "apart": 0, "smaller": 0}
+    for g in graphs:
+        for x, y in combinations(g.vertices, 2):
+            prog = build_lipschitz_program(g, x, y)
+            full = oracle_full_program(g, x, y)
+            value, f = prog.solve()
+            assert full.solve()[0] == value
+            dist = full.dist
+            extended = {u: min(f[s] + dist[s, u] for s in prog.domain) for u in full.domain}
+            assert all(extended[s] == f[s] for s in prog.domain)
+            assert full.value(extended) == value
+            seen["adjacent" if g.has_edge(x, y) else "apart"] += 1
+            seen["smaller"] += len(prog.domain) < len(full.domain)
+    assert seen["adjacent"] + seen["apart"] >= 200 and min(seen.values()) > 0
+
+
+def test_program_domain_drops_only_cancelled_common_neighbours():
+    # Pinned sizes, so a regression to the full U shows without timing.
+    k30 = families.complete(30)[0]
+    assert all(build_lipschitz_program(k30, x, y).domain == (x, y) for x, y in k30.edges())
+    ico = families.icosahedron()[0]  # |U| = 8, two common neighbours at degree 5
+    assert all(len(build_lipschitz_program(ico, x, y).domain) == 6 for x, y in ico.edges())
+    wheel = families.wheel(60)[0]  # the hub has degree 60, the rim 3
+    for rim in range(60):
+        assert build_lipschitz_program(wheel, 60, rim).domain == tuple(range(61))
 
 
 def test_a_lowered_row_entry_fails_the_program_certificate():

@@ -5,7 +5,7 @@ import pytest
 
 import riccikit.structure
 from riccikit import families
-from riccikit.curvature import curvature_report, kappa_lly
+from riccikit.curvature import build_lipschitz_program, curvature_report, kappa_lly
 from riccikit.graphs import Graph, RotationSystem
 from riccikit.structure import (
     degree_audit,
@@ -17,6 +17,7 @@ from riccikit.structure import (
 )
 
 from oracles import (
+    oracle_full_program,
     oracle_lemma4,
     oracle_lemma4_failures,
     random_connected_graph,
@@ -201,6 +202,30 @@ def test_lemma4_sweep_matches_the_oracle_on_random_graphs():
             _assert_matches_oracle(g, inst, kappa[inst.x, inst.y])
         total += len(failing)
     assert total >= 100
+
+
+def test_lemma4_witnesses_hold_on_the_whole_graph():
+    # The program certifies a witness on its own domain, which leaves out
+    # common neighbours at deg x = deg y. Extended by 0, each witness must
+    # still be 1-Lipschitz on all of G, and its nabla must be the value of
+    # the same point in the program over both closed neighbourhoods.
+    nx = pytest.importorskip("networkx")
+    small, wide = random.Random(5), random.Random(41)
+    graphs = [random_connected_graph(small, n_max=12, max_degree=6) for _ in range(60)]
+    graphs += [random_connected_graph(wide, n_max=22, max_degree=10) for _ in range(50)]
+    graphs.append(star_with_pendants()[0])
+    total = outside = 0
+    for seed, g in enumerate(graphs):
+        dist = dict(nx.all_pairs_shortest_path_length(nx.Graph(list(g.edges()))))
+        for inst in lemma4_sweep(g, seed=seed):
+            w = inst.witness
+            assert all(abs(w[u] - w[v]) <= dist[u][v] for u in g.vertices for v in g.vertices)
+            full = oracle_full_program(g, inst.x, inst.y)
+            assert full.value({u: w[u] for u in full.domain}) == w.nabla
+            domain = build_lipschitz_program(g, inst.x, inst.y).domain
+            outside += any(v not in domain for v in w.values)
+            total += 1
+    assert total >= 200 and outside >= 1
 
 
 def test_lemma4_sweep_builds_one_program_per_edge(monkeypatch):
