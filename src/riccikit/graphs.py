@@ -25,9 +25,17 @@ class Graph:
 
     Neighbor lists are kept sorted; all operations treat the graph as
     read-only, so instances are safe to share across threads/processes.
+
+    The one mutable part is a search memo that `distance_row` keeps: per
+    source vertex, the ball of its last local search. It holds only exact
+    distances and hands out new lists, so the graph still behaves as
+    immutable; two threads that miss at once at worst repeat a search, and
+    either ball is exact. At worst it keeps one map per source vertex, at
+    most |V|^2 entries, for a caller who asks for far-apart targets from
+    every vertex.
     """
 
-    __slots__ = ("_adj", "_nbr_sets", "_vertices", "_edge_count")
+    __slots__ = ("_adj", "_nbr_sets", "_vertices", "_edge_count", "_near")
 
     def __init__(self, edges: Iterable[tuple[int, int]], vertices: Iterable[int] = ()):
         adj: dict[int, set[int]] = {int(v): set() for v in vertices}
@@ -51,6 +59,7 @@ class Graph:
         self._nbr_sets = {v: frozenset(ns) for v, ns in self._adj.items()}
         self._vertices = tuple(self._adj)
         self._edge_count = sum(len(ns) for ns in self._adj.values()) // 2
+        self._near: dict[int, dict[int, int]] = {}
         self._check_connected()
 
     def _check_connected(self) -> None:
@@ -79,6 +88,24 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
+
+    def distance_row(self, source: int, targets: Sequence[int]) -> list[int]:
+        """[d(source, t) for t in targets], as a new list, read from the search memo.
+
+        The memo keeps the map of the last `distances_to` search from source:
+        the whole ball around source out to its farthest target. A search
+        runs only when a target lies outside that ball, so the new ball is
+        larger and replaces the stored one: source is searched at most once
+        per radius. Every stored entry is exact, though the search stopped
+        short of the graph: BFS fixes a vertex's distance when it first
+        reaches it, and never changes it after.
+        """
+        try:
+            return list(map(self._near[source].__getitem__, targets))
+        except KeyError:
+            pass
+        near = self._near[source] = distances_to(self, source, targets)
+        return list(map(near.__getitem__, targets))
 
     def has_edge(self, u: int, v: int) -> bool:
         if u not in self._nbr_sets:
@@ -134,27 +161,33 @@ def bfs_distances(g: Graph, source: int) -> DistanceMap:
 
 
 def distances_to(g: Graph, source: int, targets: Iterable[int]) -> dict[int, int]:
-    """BFS distances from source to each target and to every vertex met on the way.
+    """BFS distances from source to every vertex of the ball that holds the targets.
 
-    The search stops once it has reached every target, inside the ball of
-    radius max d(source, target). The map lists vertices in BFS order, so
-    its distances never fall. A target of g that the search cannot reach
-    makes g disconnected, which only a Graph under construction can be.
+    The ball has radius r = max d(source, target): the search stops once it
+    has reached every target and finished the level of the last one, so
+    the map holds every vertex within r and no other. It lists vertices in
+    BFS order, so its distances never fall. A target of g that the search
+    cannot reach makes g disconnected, which only a Graph under
+    construction can be.
     """
     if source not in g:
         raise GraphError(f"unknown vertex {source}")
     dist = {source: 0}
     left = set(targets) - {source}
+    reach = g.vertex_count if left else 0  # r, once the last target is met
     queue = [source]
     for u in queue:
-        if not left:
-            break
         du = dist[u] + 1
+        if du > reach:
+            break
         for w in g.neighbors(u):
             if w not in dist:
                 dist[w] = du
                 queue.append(w)
-                left.discard(w)
+                if w in left:
+                    left.remove(w)
+                    if not left:
+                        reach = du
     if left:
         v = min(left)
         if v in g:

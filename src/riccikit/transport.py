@@ -4,9 +4,11 @@ All masses, costs and distances are exact rationals. By Kantorovich-
 Rubinstein duality W1(m1, m2) is the min-cost transshipment of m1 - m2
 over the graph metric on D = supp m1 union supp m2, scaled to integers. It
 is solved on `_metric_network` over `_domain_metric`, which the Lipschitz
-curvature program shares, by a primal-dual min-cost flow that starts from
-zero potentials and alternates blocking flows with potential raises across
-their cuts. The negated final potentials are an integer Kantorovich
+curvature program shares. Its rows come from the graph's search memo, so
+programs, transport solves and their certificates on one graph share one
+local search per vertex. The flow is a primal-dual min-cost flow that starts
+from zero potentials and alternates blocking flows with potential raises
+across their cuts. The negated final potentials are an integer Kantorovich
 potential; a path decomposition of the flow is an optimal coupling.
 """
 
@@ -323,7 +325,10 @@ class _MinCostFlow:
 def _domain_metric(g: Graph, domain: Sequence[int]) -> tuple[list[list[int]], tuple]:
     """The graph metric on a sorted `domain` as rows, and its spanning arcs.
 
-    rows[i][j] = d(domain[i], domain[j]), one local search per row. The arcs
+    rows[i][j] = d(domain[i], domain[j]). Each row is a new list read from
+    g's search memo (`Graph.distance_row`), so a caller may change its rows,
+    and a vertex is searched from again only for a farther target, not once
+    per row. The arcs
     (tails, heads, costs) join positions i -> j at cost d(u, v) for u =
     domain[i], v = domain[j], kept if d(u, v) = 1 or no G-neighbour of u
     inside the domain is one step closer to v. Their shortest-path closure
@@ -332,7 +337,7 @@ def _domain_metric(g: Graph, domain: Sequence[int]) -> tuple[list[list[int]], tu
     d - 1, whose closure is d - 1, and no path of arcs is shorter than d. So
     potentials feasible for the kept arcs are 1-Lipschitz on the whole domain.
     """
-    rows = [list(map(distances_to(g, u, domain).__getitem__, domain)) for u in domain]
+    rows = [g.distance_row(u, domain) for u in domain]
     tails, heads, costs = [], [], []
     for i, row in enumerate(rows):
         # around[j] holds d(w, domain[j]) for each G-neighbour w of domain[i]

@@ -1,12 +1,13 @@
 import dataclasses
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
 import pytest
 
-from riccikit import curvature, families
+from riccikit import curvature, families, graphs
 from riccikit.curvature import (
     EmbeddingError,
     build_lipschitz_program,
@@ -419,7 +420,8 @@ def test_report_comb_mode():
 
 def test_program_build_work_is_independent_of_graph_size(monkeypatch):
     # Edge (0, 1) has the same neighbourhood in every large prism, so building
-    # its program must touch the same vertices, however long the prism.
+    # its program must touch the same vertices, however long the prism. Each
+    # prism is new, so its search memo starts empty.
     counts = []
     for n in (100, 400):
         g, _ = families.prism(n)
@@ -430,6 +432,37 @@ def test_program_build_work_is_independent_of_graph_size(monkeypatch):
         monkeypatch.undo()
         counts.append(len(calls))
     assert counts[0] == counts[1] < 100
+
+
+def _memo_searches(monkeypatch) -> list:
+    """Log the source of every search that `Graph.distance_row` starts.
+
+    Other callers of `distances_to`, such as `diameter`, are not logged."""
+    searches = []
+    original = graphs.distances_to
+
+    def counted(g, source, targets):
+        if sys._getframe(1).f_code is Graph.distance_row.__code__:
+            searches.append(source)
+        return original(g, source, targets)
+
+    monkeypatch.setattr(graphs, "distances_to", counted)
+    return searches
+
+
+@pytest.mark.parametrize("family, n", [("wheel", 60), ("complete", 30)])
+def test_a_report_searches_from_each_vertex_at_most_once(monkeypatch, family, n):
+    # Every hub edge of wheel(60) has the same 61-vertex domain. Searching
+    # per row took 61 searches per hub edge; the memo searches once per
+    # vertex, since a rim vertex's first search already holds every vertex.
+    g, rot = getattr(families, family)(n)
+    searches = _memo_searches(monkeypatch)
+    curvature_report(g, rot=rot, mode="lly")
+    assert len(searches) <= g.vertex_count
+    # A second build of a program on the now warm graph starts no search.
+    before = len(searches)
+    build_lipschitz_program(g, *g.edges()[0])
+    assert len(searches) == before
 
 
 def test_report_json_and_csv_shapes():

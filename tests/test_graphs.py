@@ -265,6 +265,10 @@ def test_distances_to_matches_bfs_distances_on_random_domains():
                 assert all(full[v] == d for v, d in near.items())
                 # The search never reaches past the farthest target.
                 assert max(near.values()) == max(full[v] for v in domain | {source})
+                # It holds that whole ball, so a memo of it answers any
+                # target at most as far.
+                radius = max(near.values())
+                assert near == {v: d for v, d in full.items() if d <= radius}
     with pytest.raises(GraphError, match="unknown vertex 99"):
         distances_to(g, 99, ())
     with pytest.raises(GraphError, match="unknown vertex -1"):

@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from riccikit import families, transport
+from riccikit import families, graphs, transport
 from riccikit.curvature import build_lipschitz_program
 from riccikit.graphs import Graph, bfs_distances, distances_to
 from riccikit.transport import (
@@ -675,6 +676,73 @@ def test_domain_metric_rows_match_networkx():
             assert rows == [[lengths[u][v] for v in domain] for u in domain]
             checked += 1
     assert checked > 200
+
+
+def test_domain_metric_rows_from_a_warm_memo_match_networkx(monkeypatch):
+    # Each graph keeps the ball of its last search per source. Domains asked
+    # for in random order must read exact rows whatever the memo holds: edge
+    # domains, lemma3-style domains N[x] | N[y] of non-adjacent pairs, and
+    # single far-apart pairs, which reach past a stored ball and so search
+    # again. A source is searched again only with a larger radius.
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(2323)
+    warm, radii, again = None, {}, 0
+    original = graphs.distances_to
+
+    def counted(g, source, targets):
+        near = original(g, source, targets)
+        if g is warm:
+            radii.setdefault(source, []).append(max(near.values()))
+        return near
+
+    monkeypatch.setattr(graphs, "distances_to", counted)
+    for _ in range(120):
+        warm = g = random_connected_graph(rng, n_max=16, max_degree=4)
+        radii.clear()
+        h = nx.Graph(list(g.edges()))
+        h.add_nodes_from(g.vertices)
+        lengths = dict(nx.all_pairs_shortest_path_length(h))
+        domains = [tuple(sorted({x, y, *g.neighbors(x), *g.neighbors(y)}))
+                   for x, y in combinations(g.vertices, 2)]
+        domains += [tuple(sorted({v, max(lengths[v], key=lengths[v].get)})) for v in g.vertices]
+        domains += [tuple(sorted(rng.sample(g.vertices, rng.randint(1, g.vertex_count))))
+                    for _ in range(3)]
+        rng.shuffle(domains)
+        for domain in domains:
+            rows, arcs = _domain_metric(g, domain)
+            assert rows == [[lengths[u][v] for v in domain] for u in domain]
+            assert (rows, arcs) == _domain_metric(Graph(g.edges()), domain)  # a cold memo
+        assert all(r == sorted(set(r)) for r in radii.values())
+        again += sum(len(r) - 1 for r in radii.values())
+    assert again > 100  # far pairs did reach past stored balls
+
+
+def test_a_lowered_row_entry_leaves_the_shared_memo_exact(c6):
+    # c6 is shared by the whole session, and so is its search memo. A caller
+    # that changes its rows changes its own lists only.
+    domain = c6.vertices
+    exact = [[min(abs(u - v), 6 - abs(u - v)) for v in domain] for u in domain]
+    rows, _ = _domain_metric(c6, domain)
+    assert rows == exact
+    rows[0][3] -= 1
+    assert _domain_metric(c6, domain)[0] == exact
+
+
+def test_a_lowered_row_entry_fails_the_certificate_on_a_warm_memo(c6):
+    # As the test below, on a graph whose memo earlier solves have filled:
+    # the fault still raises, and the next solve is exact again.
+    m1, m2 = Measure({0: half, 1: half}), Measure({3: half, 4: half})
+    clean = optimal_transport(c6, m1, m2)
+    (u, v), _ = next((k, m) for k, m in clean.plan.entries.items() if k[0] != k[1])
+
+    def lowered(domain):
+        rows, arcs = _domain_metric(c6, domain)
+        rows[domain.index(u)][domain.index(v)] -= 1
+        return rows, arcs
+
+    with pytest.raises(InternalConsistencyError, match="duality gap"):
+        optimal_transport(c6, m1, m2, metric=lowered)
+    assert optimal_transport(c6, m1, m2) == clean
 
 
 def test_a_lowered_row_entry_fails_the_transport_certificate():
