@@ -9,8 +9,8 @@ The transport checks (duality, integrality, concavity, slope-monotonicity)
 sample the same edges on small graphs, so one `run_checks` call solves each
 lazy-walk transport problem (x, y, alpha) at most once, and builds the
 metric of each transport domain once. `concavity` and `slope-monotonicity`
-read kappa_alpha from each edge's certified `transport.IdlenessPieces`,
-which solves only a few alpha per edge.
+read kappa_alpha from each edge's `transport.IdlenessPieces`, which solves
+only a few alpha per edge and certifies each of its pieces once.
 """
 
 from __future__ import annotations
@@ -277,11 +277,11 @@ def run_checks(
     report = curvature_report(g, rot=rot, mode="lly")
     # One metric (rows and spanning arcs) per domain, one measure per (v,
     # alpha), at most one solve per (x, y, alpha), one set of idleness pieces
-    # per edge and one certified read per (x, y, alpha).
+    # per edge and one read per (x, y, alpha).
     metric = cache(partial(_domain_metric, g))
     measure = cache(partial(lazy_measure, g))
     transport = cache(partial(_lazy_transport, g, measure=measure, metric=metric))
-    pieces = cache(lambda x, y: IdlenessPieces(g, x, y, transport, measure, metric))
+    pieces = cache(lambda x, y: IdlenessPieces(g, x, y, transport, metric))
     distance = cache(lambda x, y, alpha: pieces(x, y).distance(alpha))
     results = []
     for name in ALL_CHECKS:

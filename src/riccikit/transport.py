@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from math import gcd, lcm
+from math import lcm
 from operator import sub
 from typing import Mapping, Sequence
 
@@ -471,31 +471,37 @@ class IdlenessPieces:
     and W(1) = 1: the dual lines of solved points a < b cross at c; if W(c)
     lies on both, W is a's line on [a, c] and b's on [c, b]; else a solve at c
     splits [a, b]. `pieces` lists (a, b, f, (c0, slope)): ends (alpha, W *
-    scale, scale, plan units at that scale) and an integer potential f whose
-    dual line c0 + alpha * slope is W on [a, b]. `transport(x, y, alpha)`
-    gives a TransportResult, `measure(v, alpha)` a lazy measure, and
+    scale, scale, plan units, source units, target units), all at one integer
+    scale, and an integer potential f whose dual line c0 + alpha * slope is W
+    on [a, b]. `transport(x, y, alpha)` gives a TransportResult and
     `metric(domain)` the metric rows and arcs, as `optimal_transport` takes it.
+
+    `distance` certifies a piece at its two ends on its first read. That is
+    exact: the measures, the interpolated plan, its cost and f's dual value are
+    affine in alpha, so if the plan and f certify each other at a and at b,
+    they do so at every alpha in [a, b].
     """
 
-    __slots__ = ("pieces", "_x", "_y", "_domain", "_rows", "_measure")
+    __slots__ = ("pieces", "_x", "_y", "_domain", "_rows", "_certified")
 
-    def __init__(self, g: Graph, x: int, y: int, transport, measure, metric=None):
+    def __init__(self, g: Graph, x: int, y: int, transport, metric=None):
         domain = tuple(sorted({x, y, *g.neighbors(x), *g.neighbors(y)}))
-        self._x, self._y, self._measure, self._domain = x, y, measure, domain
+        self._x, self._y, self._domain, self._certified = x, y, domain, set()
         self._rows = rows = (metric or partial(_domain_metric, g))(domain)[0]
 
         def point(alpha, w, plan, f):  # f's dual line is c0 + alpha * slope: (c0, slope)
             c0 = (Fraction(sum(f[v] for v in g.neighbors(x)), g.degree(x))
                   - Fraction(sum(f[v] for v in g.neighbors(y)), g.degree(y)))
-            scale, units = _common_scale(plan)
-            return (alpha, int(w * scale), scale, units), f, (c0, f[x] - f[y] - c0)
+            scale, *units = _common_scale(plan.entries, plan.source, plan.target)
+            return (alpha, int(w * scale), scale, *units), f, (c0, f[x] - f[y] - c0)
 
         def solve(alpha):
             result = transport(x, y, alpha)
-            return point(alpha, result.distance, result.plan.entries, result.potential.values)
+            return point(alpha, result.distance, result.plan, result.potential.values)
 
         half = solve(Fraction(1, 2))
-        one = point(1, 1, {(x, y): 1}, dict(zip(domain, rows[domain.index(y)])))
+        step = TransportPlan({(x, y): 1}, Measure({x: 1}), Measure({y: 1}))
+        one = point(1, 1, step, dict(zip(domain, rows[domain.index(y)])))
         stack, found = [(half, one), (solve(Fraction(0)), half)], []
         while stack:
             lo, hi = stack.pop()
@@ -518,27 +524,21 @@ class IdlenessPieces:
             self.pieces.append((a, b, f, line))
 
     def distance(self, alpha: Fraction) -> Fraction:
-        """W(alpha), once `_duality_violations` certifies it at alpha's scale with the
-        plan interpolated between the piece's ends and the piece's potential."""
-        (a, wa, sa, ua), (b, wb, sb, ub), f, _ = next(p for p in self.pieces if alpha <= p[1][0])
+        """W(alpha) on its piece, once `_duality_violations` has certified the
+        piece's potential against the plans at both of its ends."""
+        if not 0 <= alpha <= 1:
+            raise TransportError(f"alpha must lie in [0, 1], got {alpha}")
+        i = next(i for i, p in enumerate(self.pieces) if alpha <= p[1][0])
+        (a, wa, sa, *_), (b, wb, sb, *_), f, _ = piece = self.pieces[i]
+        if i not in self._certified:
+            for end, w, scale, *units in piece[:2]:  # units: plan, source, target
+                problems = _duality_violations(*units, f, self._domain, self._rows, scale, w)
+                if problems:
+                    raise InternalConsistencyError(f"idleness piece of ({self._x}, {self._y}), "
+                                                   f"alpha {end}: {'; '.join(problems)}")
+            self._certified.add(i)
         t = (alpha - a) / (b - a)
-        # (1 - t) ua / sa + t ub / sb, at scale q sa sb, then at alpha's scale
-        p, q = t.numerator, t.denominator
-        ka, kb, raw = (q - p) * sb, p * sa, q * sa * sb
-        units = {k: ka * ua.get(k, 0) + kb * ub.get(k, 0) for k in ua.keys() | ub.keys()}
-        w = Fraction(ka * wa + kb * wb, raw)
-        common = gcd(raw, *units.values())
-        (s1, source), (s2, target) = (self._measure(v, alpha)._units for v in (self._x, self._y))
-        scale = lcm(raw // common, s1, s2)
-        up, up1, up2 = scale * common // raw, scale // s1, scale // s2
-        problems = _duality_violations(
-            {k: c // common * up for k, c in units.items() if c},
-            {v: c * up1 for v, c in source.items()}, {v: c * up2 for v, c in target.items()},
-            f, self._domain, self._rows, scale, w * scale)
-        if problems:
-            raise InternalConsistencyError(
-                f"idleness piece of ({self._x}, {self._y}), alpha {alpha}: {'; '.join(problems)}")
-        return w
+        return (1 - t) * Fraction(wa, sa) + t * Fraction(wb, sb)
 
 
 def wasserstein(g: Graph, m1: Measure, m2: Measure) -> tuple[Fraction, TransportPlan]:

@@ -331,14 +331,19 @@ def test_reports_are_deterministic_across_job_counts(tmp_path, capsys):
 
 def test_cli_import_loads_no_process_machinery():
     # Reports are serial; the CLI must not pay for importing process pools.
+    # Its import, which every fresh process pays, loads exactly the package's
+    # nine modules.
     src = str(Path(riccikit.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     probe = ("import sys, riccikit.cli; "
              "print([m for m in ('multiprocessing', 'concurrent.futures.process') "
-             "if m in sys.modules])")
+             "if m in sys.modules]); "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'riccikit'))")
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                             text=True, timeout=60, check=True)
-    assert result.stdout == "[]\n"
+    modules = ["riccikit"] + [f"riccikit.{name}" for name in (
+        "checks", "cli", "curvature", "families", "graphs", "lp", "structure", "transport")]
+    assert result.stdout == f"[]\n{modules}\n"
 
 
 def test_parser_is_built_once_and_reused(tmp_path, capsys):

@@ -6,10 +6,11 @@ from functools import cache, partial
 
 import pytest
 
-from riccikit import families
+from riccikit import families, transport
 from riccikit.cli import main
 from riccikit.curvature import _lazy_transport, curvature_report
-from riccikit.transport import IdlenessPieces, InternalConsistencyError, lazy_measure
+from riccikit.transport import (IdlenessPieces, InternalConsistencyError, TransportError,
+                                lazy_measure)
 
 from oracles import random_connected_graph
 
@@ -21,7 +22,7 @@ NAMED = [("figure1",), ("icosahedron",),
 
 
 def _pieces(g, x, y):
-    return IdlenessPieces(g, x, y, partial(_lazy_transport, g), partial(lazy_measure, g))
+    return IdlenessPieces(g, x, y, partial(_lazy_transport, g))
 
 
 def _graphs():
@@ -38,7 +39,7 @@ def test_pieces_give_lazy_transport_on_the_sixtieths(name, g):
     measure = cache(partial(lazy_measure, g))
     solve = partial(_lazy_transport, g, measure=measure)
     for x, y in g.edges():
-        pieces = IdlenessPieces(g, x, y, solve, measure)
+        pieces = IdlenessPieces(g, x, y, solve)
         # Bourne, Cushing, Liu, Muench and Peyerimhoff: at most three pieces.
         assert 1 <= len(pieces.pieces) <= 3
         assert [p[0][0] for p in pieces.pieces] + [1] == [0] + [p[1][0] for p in pieces.pieces]
@@ -83,6 +84,65 @@ def test_a_potential_value_off_by_one_is_caught():
         pieces.distance(alpha)
 
 
+def _right_end_of_first_piece():
+    """The icosahedron's edge (0, 1), an alpha strictly inside its first piece, and
+    that piece's right end."""
+    g, _ = families.icosahedron()
+    pieces = _pieces(g, 0, 1)
+    start, end, _, _ = pieces.pieces[0]
+    assert end[0] < 1  # an end the search solved, not W(1) = 1
+    return pieces, (start[0] + end[0]) / 2, end
+
+
+def _move_one_unit(units, old, new):
+    units[old] -= 1
+    units[new] = units.get(new, 0) + 1
+
+
+def test_a_moved_unit_in_a_right_end_plan_is_caught():
+    pieces, alpha, end = _right_end_of_first_piece()
+    units = end[3]
+    u, v = min(units)
+    _move_one_unit(units, (u, v), (u, next(k[1] for k in units if k[1] != v)))
+    with pytest.raises(InternalConsistencyError, match="column sums"):
+        pieces.distance(alpha)
+
+
+def test_a_moved_unit_in_a_right_end_target_measure_is_caught():
+    pieces, alpha, end = _right_end_of_first_piece()
+    target = end[5]
+    _move_one_unit(target, min(target), max(target))
+    with pytest.raises(InternalConsistencyError, match="column sums"):
+        pieces.distance(alpha)
+
+
+@pytest.mark.parametrize("alpha", [Fraction(3, 2), Fraction(-1, 2)], ids=str)
+def test_a_read_outside_the_unit_interval_is_refused(alpha):
+    g, _ = families.prism(4)
+    with pytest.raises(TransportError, match=f"alpha must lie in \\[0, 1\\], got {alpha}"):
+        _pieces(g, 0, 1).distance(alpha)
+
+
+@pytest.mark.parametrize("spec", [("figure1",), ("icosahedron",), ("wheel", 5)], ids=str)
+def test_each_piece_is_certified_once_at_its_two_ends(spec, monkeypatch):
+    g, _ = families.FamilySpec(*spec).build()
+    built = [_pieces(g, x, y) for x, y in g.edges()]  # their solves certify themselves
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return certify(*args)
+
+    certify = transport._duality_violations
+    monkeypatch.setattr(transport, "_duality_violations", counted)
+    for pieces in built:
+        first = [pieces.distance(a) for a in GRID]
+        assert len(calls) == 2 * len(pieces.pieces)
+        assert [pieces.distance(a) for a in GRID] == first
+        assert len(calls) == 2 * len(pieces.pieces)
+        calls.clear()
+
+
 def test_reads_solve_nothing():
     g, _ = families.prism(4)
     calls = []
@@ -91,7 +151,7 @@ def test_reads_solve_nothing():
         calls.append(alpha)
         return _lazy_transport(g, x, y, alpha)
 
-    pieces = IdlenessPieces(g, 0, 1, counted, partial(lazy_measure, g))
+    pieces = IdlenessPieces(g, 0, 1, counted)
     solved = len(calls)
     assert [pieces.distance(a) for a in GRID] == [_lazy_transport(g, 0, 1, a).distance
                                                   for a in GRID]
