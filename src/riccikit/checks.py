@@ -10,7 +10,8 @@ sample the same edges on small graphs, so one `run_checks` call solves each
 lazy-walk transport problem (x, y, alpha) at most once, and builds the
 metric of each transport domain once. `concavity` and `slope-monotonicity`
 read kappa_alpha from each edge's `transport.IdlenessPieces`, which solves
-only a few alpha per edge and certifies each of its pieces once.
+only a few alpha per edge, certifies each of its pieces once through
+`verify_duality` and returns W off the certified piece's line.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .curvature import (
 )
 from .graphs import Graph, RotationSystem
 from .structure import degree_audit, instance_to_json_dict, lemma4_sweep
-from .transport import IdlenessPieces, InternalConsistencyError, lazy_measure, verify_duality
+from .transport import IdlenessPieces, InternalConsistencyError, verify_duality
 from .transport import _domain_metric
 
 _EDGE_SAMPLE = 12
@@ -275,14 +276,11 @@ def run_checks(
     if unknown:
         raise ValueError(f"unknown check {unknown[0]!r}")
     report = curvature_report(g, rot=rot, mode="lly")
-    # One metric (rows and spanning arcs) per domain, one measure per (v,
-    # alpha), at most one solve per (x, y, alpha), one set of idleness pieces
-    # per edge and one read per (x, y, alpha).
+    # One metric (rows and spanning arcs) per domain, at most one solve per
+    # (x, y, alpha) and one set of idleness pieces per edge.
     metric = cache(partial(_domain_metric, g))
-    measure = cache(partial(lazy_measure, g))
-    transport = cache(partial(_lazy_transport, g, measure=measure, metric=metric))
+    transport = cache(partial(_lazy_transport, g, metric=metric))
     pieces = cache(lambda x, y: IdlenessPieces(g, x, y, transport, metric))
-    distance = cache(lambda x, y, alpha: pieces(x, y).distance(alpha))
     results = []
     for name in ALL_CHECKS:
         if name not in selected:
@@ -291,7 +289,7 @@ def run_checks(
         results.append(
             _CHECK_FUNCS[name](
                 g=g, rot=rot, report=report, rng=rng, seed=seed, transport=transport,
-                distance=distance, metric=metric,
+                distance=lambda x, y, alpha: pieces(x, y).distance(alpha), metric=metric,
             )
         )
     return results

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from math import lcm
 from operator import mul
 from typing import Mapping, Optional, Sequence
@@ -43,7 +42,6 @@ from .graphs import (
     Graph,
     RotationSystem,
     diameter,
-    distances_to,
     trace_faces,
     validate_embedding,
 )
@@ -149,13 +147,11 @@ def kappa_lly(g: Graph, x: int, y: int) -> Fraction:
     return value
 
 
-def _lazy_transport(g: Graph, x: int, y: int, alpha, measure=None, metric=None) -> TransportResult:
+def _lazy_transport(g: Graph, x: int, y: int, alpha, metric=None) -> TransportResult:
     """Exact transport between the alpha-lazy walk measures at x and y.
 
-    `measure(v, alpha)` is `lazy_measure` on g, or a memo such as `run_checks`
-    keeps; `metric` goes to `optimal_transport`."""
-    measure = measure or partial(lazy_measure, g)
-    return optimal_transport(g, measure(x, alpha), measure(y, alpha), metric=metric)
+    `metric` goes to `optimal_transport`."""
+    return optimal_transport(g, lazy_measure(g, x, alpha), lazy_measure(g, y, alpha), metric)
 
 
 def _kappa_alpha(g: Graph, x: int, y: int, alpha, distance) -> Fraction:
@@ -167,7 +163,7 @@ def _kappa_alpha(g: Graph, x: int, y: int, alpha, distance) -> Fraction:
     if x == y:
         raise ValueError("curvature requires two distinct vertices")
     alpha = _frac(alpha)
-    d = 1 if g.has_edge(x, y) else distances_to(g, x, (y,))[y]
+    d = 1 if g.has_edge(x, y) else g.distance_row(x, (y,))[0]
     return 1 - distance(x, y, alpha) / d
 
 

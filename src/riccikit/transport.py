@@ -21,7 +21,7 @@ from math import lcm
 from operator import sub
 from typing import Mapping, Sequence
 
-from .graphs import Graph, distances_to
+from .graphs import Graph
 
 
 class TransportError(ValueError):
@@ -121,8 +121,8 @@ class TransportPlan:
     target: Measure
 
     def cost(self, g: Graph) -> Fraction:
-        heads = {v for _, v in self.entries}
-        dist = {u: distances_to(g, u, heads) for u in {u for u, _ in self.entries}}
+        heads = sorted({v for _, v in self.entries})
+        dist = {u: dict(zip(heads, g.distance_row(u, heads))) for u in {u for u, _ in self.entries}}
         return sum((mass * dist[u][v] for (u, v), mass in self.entries.items()), Fraction(0))
 
     def row_sums(self) -> dict[int, Fraction]:
@@ -470,38 +470,38 @@ class IdlenessPieces:
     search (Eisner and Severance, 1976) finds them from solves at 0 and 1/2
     and W(1) = 1: the dual lines of solved points a < b cross at c; if W(c)
     lies on both, W is a's line on [a, c] and b's on [c, b]; else a solve at c
-    splits [a, b]. `pieces` lists (a, b, f, (c0, slope)): ends (alpha, W *
-    scale, scale, plan units, source units, target units), all at one integer
-    scale, and an integer potential f whose dual line c0 + alpha * slope is W
-    on [a, b]. `transport(x, y, alpha)` gives a TransportResult and
-    `metric(domain)` the metric rows and arcs, as `optimal_transport` takes it.
+    splits [a, b]. `pieces` lists (a, b, f, (c0, slope)): ends (alpha, W,
+    plan), each with its solve's own TransportPlan (at alpha = 1 the unit step
+    x -> y), and a DualPotential f whose dual line c0 + alpha * slope is W on
+    [a, b]. `transport(x, y, alpha)` gives a TransportResult; `metric` goes
+    to `verify_duality`.
 
-    `distance` certifies a piece at its two ends on its first read. That is
-    exact: the measures, the interpolated plan, its cost and f's dual value are
-    affine in alpha, so if the plan and f certify each other at a and at b,
-    they do so at every alpha in [a, b].
+    `distance` certifies a piece at its two ends on its first read:
+    `verify_duality` checks f against each end's plan, and each end's W must
+    lie on f's line. That is exact: the measures, f's dual value and the plan
+    interpolated between the ends, with its cost, are affine in alpha, so if
+    the plans and f certify each other at a and at b, the interpolated plan
+    and f do so at every alpha in [a, b], and W is f's line there.
     """
 
-    __slots__ = ("pieces", "_x", "_y", "_domain", "_rows", "_certified")
+    __slots__ = ("pieces", "_g", "_x", "_y", "_metric", "_certified")
 
     def __init__(self, g: Graph, x: int, y: int, transport, metric=None):
         domain = tuple(sorted({x, y, *g.neighbors(x), *g.neighbors(y)}))
-        self._x, self._y, self._domain, self._certified = x, y, domain, set()
-        self._rows = rows = (metric or partial(_domain_metric, g))(domain)[0]
+        self._g, self._x, self._y, self._metric, self._certified = g, x, y, metric, set()
 
         def point(alpha, w, plan, f):  # f's dual line is c0 + alpha * slope: (c0, slope)
             c0 = (Fraction(sum(f[v] for v in g.neighbors(x)), g.degree(x))
                   - Fraction(sum(f[v] for v in g.neighbors(y)), g.degree(y)))
-            scale, *units = _common_scale(plan.entries, plan.source, plan.target)
-            return (alpha, int(w * scale), scale, *units), f, (c0, f[x] - f[y] - c0)
+            return (alpha, w, plan), f, (c0, f[x] - f[y] - c0)
 
         def solve(alpha):
             result = transport(x, y, alpha)
-            return point(alpha, result.distance, result.plan, result.potential.values)
+            return point(alpha, result.distance, result.plan, result.potential)
 
         half = solve(Fraction(1, 2))
         step = TransportPlan({(x, y): 1}, Measure({x: 1}), Measure({y: 1}))
-        one = point(1, 1, step, dict(zip(domain, rows[domain.index(y)])))
+        one = point(1, 1, step, DualPotential(dict(zip(domain, g.distance_row(y, domain))), y))
         stack, found = [(half, one), (solve(Fraction(0)), half)], []
         while stack:
             lo, hi = stack.pop()
@@ -513,7 +513,7 @@ class IdlenessPieces:
                 found.append((a, b, *(hi if c == a[0] else lo)[1:]))
                 continue
             mid = solve(c)
-            if mid[0][1] == (c0 + c * s0) * mid[0][2]:
+            if mid[0][1] == c0 + c * s0:
                 found += [(a, mid[0], fa, (c0, s0)), (mid[0], b, fb, (c1, s1))]
             else:
                 stack += [(mid, hi), (lo, mid)]
@@ -524,21 +524,21 @@ class IdlenessPieces:
             self.pieces.append((a, b, f, line))
 
     def distance(self, alpha: Fraction) -> Fraction:
-        """W(alpha) on its piece, once `_duality_violations` has certified the
-        piece's potential against the plans at both of its ends."""
+        """W(alpha), read off its piece's line once the piece is certified at both ends."""
         if not 0 <= alpha <= 1:
             raise TransportError(f"alpha must lie in [0, 1], got {alpha}")
         i = next(i for i, p in enumerate(self.pieces) if alpha <= p[1][0])
-        (a, wa, sa, *_), (b, wb, sb, *_), f, _ = piece = self.pieces[i]
+        *ends, f, (c0, slope) = self.pieces[i]
         if i not in self._certified:
-            for end, w, scale, *units in piece[:2]:  # units: plan, source, target
-                problems = _duality_violations(*units, f, self._domain, self._rows, scale, w)
+            for end, w, plan in ends:
+                problems = [*verify_duality(plan, f, self._g, self._metric).violations]
+                if w != c0 + end * slope:
+                    problems.append(f"W = {w} is off the dual line")
                 if problems:
                     raise InternalConsistencyError(f"idleness piece of ({self._x}, {self._y}), "
                                                    f"alpha {end}: {'; '.join(problems)}")
             self._certified.add(i)
-        t = (alpha - a) / (b - a)
-        return (1 - t) * Fraction(wa, sa) + t * Fraction(wb, sb)
+        return c0 + alpha * slope
 
 
 def wasserstein(g: Graph, m1: Measure, m2: Measure) -> tuple[Fraction, TransportPlan]:

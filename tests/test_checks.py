@@ -107,15 +107,6 @@ def test_grid_checks_take_few_solves_per_sampled_edge(monkeypatch, check):
     assert len(calls) <= 5 * 12
 
 
-def test_verify_builds_each_lazy_measure_once(tmp_path, monkeypatch):
-    g, rot = families.prism(3)
-    path = tmp_path / "prism3.rot"
-    path.write_text(to_rotation_text(rot))
-    calls = _count_calls(monkeypatch, riccikit.transport.lazy_measure)
-    assert main(["verify", "--input", str(path), "--seed", "5"]) == 0
-    assert calls and len(calls) == len(set(calls))
-
-
 def test_verify_builds_each_transport_metric_once(tmp_path, monkeypatch):
     # The transport solves, the idleness pieces and the duality re-check of
     # one verify all read one metric per domain. The report's own programs

@@ -73,6 +73,43 @@ def test_kappa_alpha_at_one_is_zero_for_any_pair(c6):
     assert kappa_alpha(c6, 0, 3, 1) == 0
 
 
+def test_kappa_alpha_on_non_adjacent_pairs_matches_networkx():
+    # Independent oracle: the lazy measures built here at the integer scale
+    # q deg(x) deg(y), W as a networkx min-cost flow over networkx's
+    # shortest-path lengths, and d(x, y) from networkx too.
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(4141)
+    checked = 0
+    for _ in range(20):
+        g = random_connected_graph(rng, n_max=10, max_degree=4)
+        h = nx.Graph(list(g.edges()))
+        lengths = dict(nx.all_pairs_shortest_path_length(h))
+        pairs = [(x, y) for x, y in combinations(g.vertices, 2) if not g.has_edge(x, y)]
+        for x, y in rng.sample(pairs, min(3, len(pairs))):
+            for alpha in (Fraction(0), Fraction(1, 3), Fraction(3, 4), Fraction(1)):
+                p, q = alpha.numerator, alpha.denominator
+                dx, dy = g.degree(x), g.degree(y)
+
+                def units(v, own, other):
+                    masses = dict.fromkeys(g.neighbors(v), (q - p) * other)
+                    masses[v] = masses.get(v, 0) + p * own * other
+                    return {u: c for u, c in masses.items() if c}
+
+                flow = nx.DiGraph()
+                for u, c in units(x, dx, dy).items():
+                    flow.add_node(("s", u), demand=-c)
+                for v, c in units(y, dy, dx).items():
+                    flow.add_node(("t", v), demand=c)
+                for u in [n for n in flow if n[0] == "s"]:
+                    for v in [n for n in flow if n[0] == "t"]:
+                        flow.add_edge(u, v, weight=lengths[u[1]][v[1]])
+                w = Fraction(nx.min_cost_flow_cost(flow), q * dx * dy)
+                expected = 1 - w / lengths[x][y]
+                assert kappa_alpha(g, x, y, alpha) == expected, (x, y, alpha)
+                checked += 1
+    assert checked > 80
+
+
 def test_slope_engine_matches_lp_on_named_graphs(k2, k3, c6):
     assert kappa_lly_slope(k2, 0, 1) == 2
     assert kappa_lly_slope(k3, 0, 1) == Fraction(3, 2)

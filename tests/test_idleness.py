@@ -2,15 +2,14 @@
 
 import random
 from fractions import Fraction
-from functools import cache, partial
+from functools import partial
 
 import pytest
 
 from riccikit import families, transport
 from riccikit.cli import main
 from riccikit.curvature import _lazy_transport, curvature_report
-from riccikit.transport import (IdlenessPieces, InternalConsistencyError, TransportError,
-                                lazy_measure)
+from riccikit.transport import IdlenessPieces, InternalConsistencyError, TransportError
 
 from oracles import random_connected_graph
 
@@ -36,8 +35,7 @@ def _graphs():
 @pytest.mark.parametrize("name, g", list(_graphs()), ids=lambda v: v if isinstance(v, str) else "")
 def test_pieces_give_lazy_transport_on_the_sixtieths(name, g):
     kappa = {(e.u, e.v): e.kappa for e in curvature_report(g, mode="lly").edges}
-    measure = cache(partial(lazy_measure, g))
-    solve = partial(_lazy_transport, g, measure=measure)
+    solve = partial(_lazy_transport, g)
     for x, y in g.edges():
         pieces = IdlenessPieces(g, x, y, solve)
         # Bourne, Cushing, Liu, Muench and Peyerimhoff: at most three pieces.
@@ -53,22 +51,29 @@ def test_pieces_give_lazy_transport_on_the_sixtieths(name, g):
 
 
 def _middle(pieces):
-    """An alpha strictly inside the first piece, the piece's left end and its potential."""
+    """An alpha strictly inside the first piece, the piece's left end and its
+    potential's values."""
     start, end, f, _ = pieces.pieces[0]
-    return (start[0] + end[0]) / 2, start, f
+    return (start[0] + end[0]) / 2, start, f.values
+
+
+def _move_mass(masses, old, new):
+    """Move half the mass at key `old` to key `new` of the same mapping."""
+    half = masses[old] / 2
+    masses[old] -= half
+    masses[new] = masses.get(new, 0) + half
 
 
 def test_a_moved_unit_in_an_end_plan_is_caught():
     g, _ = families.icosahedron()
     pieces = _pieces(g, 0, 1)
     alpha, start, _ = _middle(pieces)
-    # One unit of the left end's plan moves to another column of its row, so
-    # the plan interpolated at alpha no longer has the target's column sums.
-    units = start[3]
-    u, v = min(units)
-    w = next(k[1] for k in units if k[1] != v)
-    units[u, v] -= 1
-    units[u, w] = units.get((u, w), 0) + 1
+    # Mass in the left end's plan moves to another column of its row, so
+    # that plan no longer has the target's column sums and the left end's
+    # certificate of the piece fails.
+    entries = start[2].entries
+    u, v = min(entries)
+    _move_mass(entries, (u, v), (u, next(k[1] for k in entries if k[1] != v)))
     with pytest.raises(InternalConsistencyError, match="column sums"):
         pieces.distance(alpha)
 
@@ -94,25 +99,31 @@ def _right_end_of_first_piece():
     return pieces, (start[0] + end[0]) / 2, end
 
 
-def _move_one_unit(units, old, new):
-    units[old] -= 1
-    units[new] = units.get(new, 0) + 1
-
-
 def test_a_moved_unit_in_a_right_end_plan_is_caught():
     pieces, alpha, end = _right_end_of_first_piece()
-    units = end[3]
-    u, v = min(units)
-    _move_one_unit(units, (u, v), (u, next(k[1] for k in units if k[1] != v)))
+    entries = end[2].entries
+    u, v = min(entries)
+    _move_mass(entries, (u, v), (u, next(k[1] for k in entries if k[1] != v)))
     with pytest.raises(InternalConsistencyError, match="column sums"):
         pieces.distance(alpha)
 
 
 def test_a_moved_unit_in_a_right_end_target_measure_is_caught():
     pieces, alpha, end = _right_end_of_first_piece()
-    target = end[5]
-    _move_one_unit(target, min(target), max(target))
+    target = end[2].target._mass
+    _move_mass(target, min(target), max(target))
     with pytest.raises(InternalConsistencyError, match="column sums"):
+        pieces.distance(alpha)
+
+
+def test_an_end_off_its_line_is_caught():
+    # The plan and the potential still certify each other at the right end,
+    # so only the check that its W lies on the piece's line can fail.
+    pieces, alpha, (b, w, plan) = _right_end_of_first_piece()
+    start, _, f, line = pieces.pieces[0]
+    pieces.pieces[0] = start, (b, w + Fraction(1, w.denominator), plan), f, line
+    with pytest.raises(InternalConsistencyError,
+                       match="idleness piece of \\(0, 1\\), alpha .*off the dual line"):
         pieces.distance(alpha)
 
 
@@ -133,8 +144,8 @@ def test_each_piece_is_certified_once_at_its_two_ends(spec, monkeypatch):
         calls.append(args)
         return certify(*args)
 
-    certify = transport._duality_violations
-    monkeypatch.setattr(transport, "_duality_violations", counted)
+    certify = transport.verify_duality
+    monkeypatch.setattr(transport, "verify_duality", counted)
     for pieces in built:
         first = [pieces.distance(a) for a in GRID]
         assert len(calls) == 2 * len(pieces.pieces)
@@ -163,8 +174,8 @@ def test_a_failed_certificate_is_an_internal_error(tmp_path, capsys, monkeypatch
 
     def corrupted(self, *args):
         build(self, *args)
-        units = self.pieces[0][0][3]
-        units[min(units)] += 1  # one unit more than the source measure holds
+        entries = self.pieces[0][0][2].entries
+        entries[min(entries)] *= 2  # more mass than the source measure holds
 
     monkeypatch.setattr(IdlenessPieces, "__init__", corrupted)
     path = tmp_path / "k4.edges"

@@ -494,19 +494,24 @@ def test_flow_engine_matches_networkx_with_a_negative_arc(monkeypatch):
 
 
 def test_plan_cost_runs_one_bfs_per_source(c6, monkeypatch):
+    # The cost reads its rows through the graph's search memo, so a graph
+    # whose memo is cold searches once per source, and then not again.
+    cold = Graph(c6.edges())
     sources = []
 
     def counted(g, u, targets):
         sources.append(u)
         return distances_to(g, u, targets)
 
-    monkeypatch.setattr(transport, "distances_to", counted)
+    monkeypatch.setattr(graphs, "distances_to", counted)
     quarter = Fraction(1, 4)
     m1 = Measure({0: half, 1: half})
     m2 = Measure({2: quarter, 3: quarter, 4: quarter, 5: quarter})
     plan = TransportPlan({(0, 4): quarter, (0, 5): quarter, (1, 2): quarter, (1, 3): quarter},
                          m1, m2)
-    assert plan.cost(c6) == Fraction(3, 2)  # 2/4 + 1/4 + 1/4 + 2/4
+    assert plan.cost(cold) == Fraction(3, 2)  # 2/4 + 1/4 + 1/4 + 2/4
+    assert sorted(sources) == [0, 1]
+    assert plan.cost(cold) == Fraction(3, 2)
     assert sorted(sources) == [0, 1]
 
 
