@@ -9,9 +9,11 @@ The transport checks (duality, integrality, concavity, slope-monotonicity)
 sample the same edges on small graphs, so one `run_checks` call solves each
 lazy-walk transport problem (x, y, alpha) at most once, and builds the
 metric of each transport domain once. `concavity` and `slope-monotonicity`
-read kappa_alpha from each edge's `transport.IdlenessPieces`, which solves
-only a few alpha per edge, certifies each of its pieces once through
-`verify_duality` and returns W off the certified piece's line.
+read each sampled edge's certified lines from `transport.IdlenessPieces`:
+W = c0 + alpha * slope on each of at most three pieces covering [0, 1], so
+both checks hold for every alpha, not at sample points. The pieces solve
+only a few alpha per edge and certify each piece once through
+`verify_duality`.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ from typing import Optional, Sequence
 
 from .curvature import (
     CurvatureReport,
-    _kappa_alpha,
-    _kappa_lly_slope,
     _lazy_transport,
     curvature_report,
     kappa_lly,
@@ -39,7 +39,6 @@ from .transport import _domain_metric
 _EDGE_SAMPLE = 12
 _PAIR_LIMIT = 10  # vertices; all-pairs curvature beyond this is out of desk range
 _ALPHAS = (Fraction(0), Fraction(1, 3), Fraction(1, 2))
-_GRID = tuple(Fraction(i, 10) for i in range(11))
 
 
 @dataclass(frozen=True)
@@ -116,48 +115,46 @@ def _check_integrality(g: Graph, rng: random.Random, transport, **_) -> CheckRes
     return CheckResult("integrality", "pass", f"{count} potentials integer-valued")
 
 
-def _check_concavity(g: Graph, rng: random.Random, distance, **_) -> CheckResult:
+def _check_concavity(g: Graph, rng: random.Random, pieces, **_) -> CheckResult:
+    # On an edge d = 1, so kappa_alpha = 1 - c0 - alpha * slope on a piece.
     for x, y in _sample_edges(g, rng):
-        values = [_kappa_alpha(g, x, y, a, distance) for a in _GRID]
-        for i in range(len(_GRID) - 2):
-            if values[i] - 2 * values[i + 1] + values[i + 2] > 0:
+        lines = pieces(x, y).lines()
+        for i, (a, b, c0, slope) in enumerate(lines):
+            if i and slope < lines[i - 1][3]:
                 return CheckResult(
-                    "concavity",
-                    "fail",
-                    f"edge ({x}, {y}): second difference positive at alpha {_GRID[i + 1]}",
+                    "concavity", "fail",
+                    f"edge ({x}, {y}): slope of kappa_alpha rises at alpha {a}",
                 )
-        for a, val in zip(_GRID, values):
-            if val > 2 * (1 - a):  # d(x, y) = 1 on an edge
-                return CheckResult(
-                    "concavity",
-                    "fail",
-                    f"edge ({x}, {y}): kappa_alpha({a}) = {val} exceeds 2(1-alpha)/d",
-                )
+            for end in (a, b):  # both sides are linear on the piece
+                val = 1 - c0 - end * slope
+                if val > 2 * (1 - end):
+                    return CheckResult(
+                        "concavity", "fail",
+                        f"edge ({x}, {y}): kappa_alpha({end}) = {val} exceeds 2(1-alpha)/d",
+                    )
     return CheckResult("concavity", "pass", "midpoint concavity and upper bound hold")
 
 
 def _check_slope_monotonicity(
-    g: Graph, report: CurvatureReport, rng: random.Random, distance, **_
+    g: Graph, report: CurvatureReport, rng: random.Random, pieces, **_
 ) -> CheckResult:
     kappa_by_edge = {(rec.u, rec.v): rec.kappa for rec in report.edges}
     for x, y in _sample_edges(g, rng):
-        limit = kappa_by_edge[(x, y)]
-        slopes = [_kappa_alpha(g, x, y, a, distance) / (1 - a) for a in _GRID if a != 1]
-        for s1, s2 in zip(slopes, slopes[1:]):
-            if s1 > s2:
+        lines = pieces(x, y).lines()
+        for a, b, c0, slope in lines:
+            # (1 - c0 - alpha * slope) / (1 - alpha) has derivative
+            # (1 - c0 - slope) / (1 - alpha)^2.
+            if 1 - c0 - slope < 0:
                 return CheckResult(
                     "slope-monotonicity", "fail",
-                    f"edge ({x}, {y}): slope decreases along the alpha grid",
+                    f"edge ({x}, {y}): kappa_alpha / (1 - alpha) decreases on [{a}, {b}]",
                 )
-        if any(s > limit for s in slopes):
+        # W(1) = 1 on the last piece, so there the ratio is its slope.
+        limit, last = kappa_by_edge[(x, y)], lines[-1][3]
+        if last != limit:
             return CheckResult(
                 "slope-monotonicity", "fail",
-                f"edge ({x}, {y}): slope exceeds the limit value {limit}",
-            )
-        if _kappa_lly_slope(g, x, y, distance) != limit:
-            return CheckResult(
-                "slope-monotonicity", "fail",
-                f"edge ({x}, {y}): transport slope engine disagrees with the LP value",
+                f"edge ({x}, {y}): last slope {last} disagrees with the LP value {limit}",
             )
     return CheckResult(
         "slope-monotonicity", "pass", "slopes nondecreasing and bounded by the limit"
@@ -289,7 +286,7 @@ def run_checks(
         results.append(
             _CHECK_FUNCS[name](
                 g=g, rot=rot, report=report, rng=rng, seed=seed, transport=transport,
-                distance=lambda x, y, alpha: pieces(x, y).distance(alpha), metric=metric,
+                pieces=pieces, metric=metric,
             )
         )
     return results

@@ -154,34 +154,13 @@ def _lazy_transport(g: Graph, x: int, y: int, alpha, metric=None) -> TransportRe
     return optimal_transport(g, lazy_measure(g, x, alpha), lazy_measure(g, y, alpha), metric)
 
 
-def _kappa_alpha(g: Graph, x: int, y: int, alpha, distance) -> Fraction:
-    """1 - W / d(x, y), with W = `distance(x, y, alpha)`.
-
-    `distance` reads `_lazy_transport` on g, or the certified idleness pieces
-    that `checks.run_checks` keeps per edge for one call.
-    """
+def kappa_alpha(g: Graph, x: int, y: int, alpha) -> Fraction:
+    """Lazy-walk curvature 1 - W(m_x^a, m_y^a) / d(x, y)."""
     if x == y:
         raise ValueError("curvature requires two distinct vertices")
     alpha = _frac(alpha)
     d = 1 if g.has_edge(x, y) else g.distance_row(x, (y,))[0]
-    return 1 - distance(x, y, alpha) / d
-
-
-def _kappa_lly_slope(g: Graph, x: int, y: int, distance) -> Fraction:
-    """kappa_alpha / (1 - alpha) at alpha = L / (L + 1), L = lcm(deg x, deg y).
-
-    alpha -> kappa_alpha is linear from 1 / (max(deg x, deg y) + 1) to 1
-    (Bourne, Cushing, Liu, Muench and Peyerimhoff, SIAM J. Discrete Math. 32,
-    2018), so the ratio there is the slope, the limit-free curvature."""
-    _require_edge(g, x, y)
-    big = lcm(g.degree(x), g.degree(y))
-    alpha = Fraction(big, big + 1)
-    return _kappa_alpha(g, x, y, alpha, distance) / (1 - alpha)
-
-
-def kappa_alpha(g: Graph, x: int, y: int, alpha) -> Fraction:
-    """Lazy-walk curvature 1 - W(m_x^a, m_y^a) / d(x, y)."""
-    return _kappa_alpha(g, x, y, alpha, lambda x, y, a: _lazy_transport(g, x, y, a).distance)
+    return 1 - _lazy_transport(g, x, y, alpha).distance / d
 
 
 def _require_edge(g: Graph, x: int, y: int) -> None:
@@ -192,11 +171,16 @@ def _require_edge(g: Graph, x: int, y: int) -> None:
 def kappa_lly_slope(g: Graph, x: int, y: int) -> Fraction:
     """Transport-based cross-check: kappa_alpha / (1 - alpha) deep in the lazy regime.
 
-    Evaluated at alpha = L / (L + 1) with L = lcm(deg x, deg y), which lies in
-    the final linear piece of alpha -> kappa_alpha, where the slope equals the
-    limit-free value. Tests assert exact agreement with kappa_lly.
+    Evaluated at alpha = L / (L + 1) with L = lcm(deg x, deg y). alpha ->
+    kappa_alpha is linear from 1 / (max(deg x, deg y) + 1) to 1 (Bourne,
+    Cushing, Liu, Muench and Peyerimhoff, SIAM J. Discrete Math. 32, 2018),
+    so the ratio there is the slope, the limit-free value. Tests assert exact
+    agreement with kappa_lly.
     """
-    return _kappa_lly_slope(g, x, y, lambda x, y, a: _lazy_transport(g, x, y, a).distance)
+    _require_edge(g, x, y)
+    big = lcm(g.degree(x), g.degree(y))
+    alpha = Fraction(big, big + 1)
+    return kappa_alpha(g, x, y, alpha) / (1 - alpha)
 
 
 def kappa_zero(g: Graph, x: int, y: int) -> Fraction:

@@ -476,12 +476,14 @@ class IdlenessPieces:
     [a, b]. `transport(x, y, alpha)` gives a TransportResult; `metric` goes
     to `verify_duality`.
 
-    `distance` certifies a piece at its two ends on its first read:
-    `verify_duality` checks f against each end's plan, and each end's W must
-    lie on f's line. That is exact: the measures, f's dual value and the plan
-    interpolated between the ends, with its cost, are affine in alpha, so if
-    the plans and f certify each other at a and at b, the interpolated plan
-    and f do so at every alpha in [a, b], and W is f's line there.
+    `lines()` gives every piece's (a, b, c0, slope) and `distance(alpha)`
+    reads W off one piece's line. Either certifies a piece at its two ends on
+    its first read: `verify_duality` checks f against each end's plan, and
+    each end's W must lie on f's line. That is exact: the measures, f's dual
+    value and the plan interpolated between the ends, with its cost, are
+    affine in alpha, so if the plans and f certify each other at a and at b,
+    the interpolated plan and f do so at every alpha in [a, b], and W is f's
+    line there.
     """
 
     __slots__ = ("pieces", "_g", "_x", "_y", "_metric", "_certified")
@@ -523,11 +525,8 @@ class IdlenessPieces:
                 a = self.pieces.pop()[0]
             self.pieces.append((a, b, f, line))
 
-    def distance(self, alpha: Fraction) -> Fraction:
-        """W(alpha), read off its piece's line once the piece is certified at both ends."""
-        if not 0 <= alpha <= 1:
-            raise TransportError(f"alpha must lie in [0, 1], got {alpha}")
-        i = next(i for i, p in enumerate(self.pieces) if alpha <= p[1][0])
+    def _line(self, i: int) -> tuple:
+        """(a, b, c0, slope) of piece i, certified at its two ends on the first call."""
         *ends, f, (c0, slope) = self.pieces[i]
         if i not in self._certified:
             for end, w, plan in ends:
@@ -538,6 +537,18 @@ class IdlenessPieces:
                     raise InternalConsistencyError(f"idleness piece of ({self._x}, {self._y}), "
                                                    f"alpha {end}: {'; '.join(problems)}")
             self._certified.add(i)
+        return ends[0][0], ends[1][0], c0, slope
+
+    def lines(self) -> list[tuple]:
+        """(a, b, c0, slope) of each piece in order, certified: W = c0 + alpha * slope."""
+        return [self._line(i) for i in range(len(self.pieces))]
+
+    def distance(self, alpha: Fraction) -> Fraction:
+        """W(alpha), read off its piece's certified line."""
+        if not 0 <= alpha <= 1:
+            raise TransportError(f"alpha must lie in [0, 1], got {alpha}")
+        _, _, c0, slope = self._line(next(i for i, p in enumerate(self.pieces)
+                                          if alpha <= p[1][0]))
         return c0 + alpha * slope
 
 

@@ -1,14 +1,16 @@
 import random
 import sys
+from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 
 import riccikit.curvature
 import riccikit.transport
 from riccikit import families
-from riccikit.checks import ALL_CHECKS, run_checks
+from riccikit.checks import _CHECK_FUNCS, ALL_CHECKS, run_checks
 from riccikit.cli import main
-from riccikit.graphs import to_rotation_text
+from riccikit.graphs import Graph, to_rotation_text
 
 from oracles import random_connected_graph, star_with_pendants
 
@@ -129,3 +131,24 @@ def test_shared_transport_solves_change_no_result():
         g = random_connected_graph(rng, n_max=7)
         singles = [r for name in ALL_CHECKS for r in run_checks(g, checks=[name], seed=seed)]
         assert run_checks(g, seed=seed) == singles
+
+
+@pytest.mark.parametrize("check, lines, message", [
+    # W = c0 + alpha * slope on [a, b]; kappa_alpha = 1 - W on an edge.
+    ("concavity", [(0, F(1, 2), F(-1, 4), 1), (F(1, 2), 1, F(1, 2), F(1, 2))],
+     "slope of kappa_alpha rises at alpha 1/2"),
+    ("concavity", [(0, F(1, 2), 0, F(-1, 2)), (F(1, 2), 1, F(-3, 2), F(5, 2))],
+     "kappa_alpha(1/2) = 5/4 exceeds 2(1-alpha)/d"),
+    ("slope-monotonicity", [(0, F(1, 2), F(1, 2), F(3, 4)), (F(1, 2), 1, F(3, 4), F(1, 4))],
+     "kappa_alpha / (1 - alpha) decreases on [0, 1/2]"),
+    ("slope-monotonicity", [(0, 1, F(1, 2), F(1, 2))],
+     "last slope 1/2 disagrees with the LP value 1/4"),
+], ids=["slope-falls", "end-above-bound", "ratio-falls", "last-slope-off"])
+def test_line_checks_fail_on_hand_made_lines(check, lines, message):
+    result = _CHECK_FUNCS[check](
+        g=Graph([(0, 1)]), rng=random.Random(0),
+        report=SimpleNamespace(edges=[SimpleNamespace(u=0, v=1, kappa=F(1, 4))]),
+        pieces=lambda x, y: SimpleNamespace(lines=lambda: lines),
+    )
+    assert result.status == "fail"
+    assert result.details == f"edge (0, 1): {message}"

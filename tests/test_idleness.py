@@ -9,6 +9,7 @@ import pytest
 from riccikit import families, transport
 from riccikit.cli import main
 from riccikit.curvature import _lazy_transport, curvature_report
+from riccikit.graphs import Graph
 from riccikit.transport import IdlenessPieces, InternalConsistencyError, TransportError
 
 from oracles import random_connected_graph
@@ -137,7 +138,9 @@ def test_a_read_outside_the_unit_interval_is_refused(alpha):
 @pytest.mark.parametrize("spec", [("figure1",), ("icosahedron",), ("wheel", 5)], ids=str)
 def test_each_piece_is_certified_once_at_its_two_ends(spec, monkeypatch):
     g, _ = families.FamilySpec(*spec).build()
-    built = [_pieces(g, x, y) for x, y in g.edges()]  # their solves certify themselves
+    readers = [lambda pieces: [pieces.distance(a) for a in GRID], IdlenessPieces.lines]
+    # Built before counting: building runs solves, which certify themselves.
+    built = [(read, _pieces(g, x, y)) for x, y in g.edges() for read in readers]
     calls = []
 
     def counted(*args):
@@ -146,10 +149,10 @@ def test_each_piece_is_certified_once_at_its_two_ends(spec, monkeypatch):
 
     certify = transport.verify_duality
     monkeypatch.setattr(transport, "verify_duality", counted)
-    for pieces in built:
-        first = [pieces.distance(a) for a in GRID]
+    for read, pieces in built:
+        first = read(pieces)
         assert len(calls) == 2 * len(pieces.pieces)
-        assert [pieces.distance(a) for a in GRID] == first
+        assert read(pieces) == first
         assert len(calls) == 2 * len(pieces.pieces)
         calls.clear()
 
@@ -182,3 +185,27 @@ def test_a_failed_certificate_is_an_internal_error(tmp_path, capsys, monkeypatch
     path.write_text("0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
     assert main(["verify", "--input", str(path), "--checks", "concavity"]) == 3
     assert "internal error: idleness piece of (0, 1)" in capsys.readouterr().err
+
+
+def test_verify_certifies_a_piece_that_no_grid_point_reads(tmp_path, capsys, monkeypatch):
+    # Edge (0, 1) has pieces [0, 3/23], [3/23, 1/6] and [1/6, 1]: no tenth and
+    # not L / (L + 1) = 20/21 falls in the middle one, so a check that read
+    # kappa_alpha on that grid never certified it.
+    edges = "0 1, 0 2, 0 3, 0 4, 1 2, 1 3, 1 4, 1 6, 2 3, 2 6, 3 6, 4 5"
+    g = Graph(tuple(map(int, e.split())) for e in edges.split(", "))
+    ends = [(a[0], b[0]) for a, b, _, _ in _pieces(g, 0, 1).pieces]
+    assert ends == [(0, Fraction(3, 23)), (Fraction(3, 23), Fraction(1, 6)), (Fraction(1, 6), 1)]
+    build = IdlenessPieces.__init__
+
+    def corrupted(self, g, x, y, *args):
+        build(self, g, x, y, *args)
+        if (x, y) == (0, 1):  # the middle piece's W at 3/23 moves off its line
+            (a, w, plan), *rest = self.pieces[1]
+            self.pieces[1] = ((a, w + Fraction(1, w.denominator), plan), *rest)
+
+    monkeypatch.setattr(IdlenessPieces, "__init__", corrupted)
+    path = tmp_path / "random_082.edges"
+    path.write_text(edges.replace(", ", "\n") + "\n")
+    for check in ("concavity", "slope-monotonicity"):
+        assert main(["verify", "--input", str(path), "--checks", check]) == 3
+        assert "internal error: idleness piece of (0, 1)" in capsys.readouterr().err
