@@ -9,11 +9,11 @@ The transport checks (duality, integrality, concavity, slope-monotonicity)
 sample the same edges on small graphs, so one `run_checks` call solves each
 lazy-walk transport problem (x, y, alpha) at most once, and builds the
 metric of each transport domain once. `concavity` and `slope-monotonicity`
-read each sampled edge's certified lines from `transport.IdlenessPieces`:
+read each sampled edge's certified lines from `transport.idleness_lines`:
 W = c0 + alpha * slope on each of at most three pieces covering [0, 1], so
-both checks hold for every alpha, not at sample points. The pieces solve
-only a few alpha per edge and certify each piece once through
-`verify_duality`.
+both checks hold for every alpha, not at sample points. The lines come from
+only a few solves per edge, and each piece is certified once, at its two
+ends, through `verify_duality`.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .curvature import (
 )
 from .graphs import Graph, RotationSystem
 from .structure import degree_audit, instance_to_json_dict, lemma4_sweep
-from .transport import IdlenessPieces, InternalConsistencyError, verify_duality
+from .transport import InternalConsistencyError, idleness_lines, verify_duality
 from .transport import _domain_metric
 
 _EDGE_SAMPLE = 12
@@ -115,12 +115,12 @@ def _check_integrality(g: Graph, rng: random.Random, transport, **_) -> CheckRes
     return CheckResult("integrality", "pass", f"{count} potentials integer-valued")
 
 
-def _check_concavity(g: Graph, rng: random.Random, pieces, **_) -> CheckResult:
+def _check_concavity(g: Graph, rng: random.Random, lines, **_) -> CheckResult:
     # On an edge d = 1, so kappa_alpha = 1 - c0 - alpha * slope on a piece.
     for x, y in _sample_edges(g, rng):
-        lines = pieces(x, y).lines()
-        for i, (a, b, c0, slope) in enumerate(lines):
-            if i and slope < lines[i - 1][3]:
+        pieces = lines(x, y)
+        for i, (a, b, c0, slope) in enumerate(pieces):
+            if i and slope < pieces[i - 1][3]:
                 return CheckResult(
                     "concavity", "fail",
                     f"edge ({x}, {y}): slope of kappa_alpha rises at alpha {a}",
@@ -136,12 +136,12 @@ def _check_concavity(g: Graph, rng: random.Random, pieces, **_) -> CheckResult:
 
 
 def _check_slope_monotonicity(
-    g: Graph, report: CurvatureReport, rng: random.Random, pieces, **_
+    g: Graph, report: CurvatureReport, rng: random.Random, lines, **_
 ) -> CheckResult:
     kappa_by_edge = {(rec.u, rec.v): rec.kappa for rec in report.edges}
     for x, y in _sample_edges(g, rng):
-        lines = pieces(x, y).lines()
-        for a, b, c0, slope in lines:
+        pieces = lines(x, y)
+        for a, b, c0, slope in pieces:
             # (1 - c0 - alpha * slope) / (1 - alpha) has derivative
             # (1 - c0 - slope) / (1 - alpha)^2.
             if 1 - c0 - slope < 0:
@@ -150,7 +150,7 @@ def _check_slope_monotonicity(
                     f"edge ({x}, {y}): kappa_alpha / (1 - alpha) decreases on [{a}, {b}]",
                 )
         # W(1) = 1 on the last piece, so there the ratio is its slope.
-        limit, last = kappa_by_edge[(x, y)], lines[-1][3]
+        limit, last = kappa_by_edge[(x, y)], pieces[-1][3]
         if last != limit:
             return CheckResult(
                 "slope-monotonicity", "fail",
@@ -274,10 +274,10 @@ def run_checks(
         raise ValueError(f"unknown check {unknown[0]!r}")
     report = curvature_report(g, rot=rot, mode="lly")
     # One metric (rows and spanning arcs) per domain, at most one solve per
-    # (x, y, alpha) and one set of idleness pieces per edge.
+    # (x, y, alpha) and one list of idleness lines per edge.
     metric = cache(partial(_domain_metric, g))
     transport = cache(partial(_lazy_transport, g, metric=metric))
-    pieces = cache(lambda x, y: IdlenessPieces(g, x, y, transport, metric))
+    lines = cache(partial(idleness_lines, g, transport=transport, metric=metric))
     results = []
     for name in ALL_CHECKS:
         if name not in selected:
@@ -286,7 +286,7 @@ def run_checks(
         results.append(
             _CHECK_FUNCS[name](
                 g=g, rot=rot, report=report, rng=rng, seed=seed, transport=transport,
-                pieces=pieces, metric=metric,
+                lines=lines, metric=metric,
             )
         )
     return results

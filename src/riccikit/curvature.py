@@ -348,10 +348,6 @@ def curvature_report(
     )
 
 
-def _rat(value: Fraction) -> str:
-    return str(value)
-
-
 def report_to_json_dict(report: CurvatureReport) -> dict:
     """Stable-schema JSON payload for a report."""
     out: dict = {
@@ -365,28 +361,28 @@ def report_to_json_dict(report: CurvatureReport) -> dict:
         "mode": report.mode,
     }
     if report.alpha is not None:
-        out["alpha"] = _rat(report.alpha)
+        out["alpha"] = str(report.alpha)
     if report.mode != "comb":
         edges = []
         for rec in report.edges:
-            item = {"u": rec.u, "v": rec.v, "kappa": _rat(rec.kappa)}
+            item = {"u": rec.u, "v": rec.v, "kappa": str(rec.kappa)}
             if rec.kappa_zero is not None:
-                item["kappa_zero"] = _rat(rec.kappa_zero)
+                item["kappa_zero"] = str(rec.kappa_zero)
             edges.append(item)
         out["edges"] = edges
     if report.vertices is not None:
-        out["vertices"] = [{"v": r.v, "phi": _rat(r.phi)} for r in report.vertices]
+        out["vertices"] = [{"v": r.v, "phi": str(r.phi)} for r in report.vertices]
     if report.euler_characteristic is not None:
         out["embedding"] = {
             "euler_characteristic": report.euler_characteristic,
             "sphere": report.sphere,
         }
     summary: dict = {
-        "min_kappa": _rat(report.min_kappa) if report.min_kappa is not None else None,
+        "min_kappa": str(report.min_kappa) if report.min_kappa is not None else None,
         "positively_curved": report.positively_curved,
     }
     if report.min_phi is not None:
-        summary["min_phi"] = _rat(report.min_phi)
+        summary["min_phi"] = str(report.min_phi)
     out["summary"] = summary
     return out
 
@@ -397,13 +393,13 @@ def report_to_csv(report: CurvatureReport) -> str:
     if report.mode == "comb":
         lines.append("v,phi")
         for rec in report.vertices or ():
-            lines.append(f"{rec.v},{_rat(rec.phi)}")
+            lines.append(f"{rec.v},{str(rec.phi)}")
     else:
         with_zero = any(rec.kappa_zero is not None for rec in report.edges)
         lines.append("u,v,kappa,kappa_zero" if with_zero else "u,v,kappa")
         for rec in report.edges:
-            row = f"{rec.u},{rec.v},{_rat(rec.kappa)}"
+            row = f"{rec.u},{rec.v},{str(rec.kappa)}"
             if with_zero:
-                row += f",{_rat(rec.kappa_zero) if rec.kappa_zero is not None else ''}"
+                row += f",{str(rec.kappa_zero) if rec.kappa_zero is not None else ''}"
             lines.append(row)
     return "\n".join(lines) + "\n"

@@ -36,21 +36,25 @@ def _frac(value) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
 
 
-def _common_scale(*maps) -> tuple:
-    """`scale`, the lcm of every denominator in `maps`, then each map times `scale`.
+def _scaled(values: Mapping) -> tuple[int, dict]:
+    """`scale`, the lcm of the denominators of the Fraction `values`, then `values` times `scale`."""
+    scale = lcm(*(m.denominator for m in values.values()))
+    return scale, {k: m.numerator * (scale // m.denominator) for k, m in values.items()}
 
-    Each map has Fraction values and an `items()` method, as a dict or a
-    Measure does; each scaled map is a dict of ints with the same keys.
-    """
-    scale = lcm(*(m.denominator for values in maps for _, m in values.items()))
-    return (scale, *({k: m.numerator * (scale // m.denominator) for k, m in values.items()}
-                     for values in maps))
+
+def _one_scale(*pairs) -> tuple:
+    """`scale`, the lcm of the scales of the (scale, units) `pairs`, then each units map at it."""
+    scale = lcm(*(s for s, _ in pairs))
+    return (scale, *({k: c * (scale // s) for k, c in units.items()} for s, units in pairs))
 
 
 class Measure:
-    """Sparse probability distribution with exact rational masses."""
+    """Sparse probability distribution with exact rational masses.
 
-    __slots__ = ("_mass", "_units")
+    Its state is (scale, units): each mass times `scale` as an integer, keyed
+    by vertex in increasing order. Reads give the masses as Fractions."""
+
+    __slots__ = ("_units",)
 
     def __init__(self, masses: Mapping[int, Fraction]):
         clean: dict[int, Fraction] = {}
@@ -60,28 +64,29 @@ class Measure:
                 raise TransportError(f"negative mass {m} at vertex {v}")
             if m.numerator:
                 clean[int(v)] = m
-        # Summed over the common denominator: one integer per mass.
-        scale, units = _common_scale(clean)
+        scale, units = _scaled(dict(sorted(clean.items())))
         total = sum(units.values())
         if total != scale:
             raise TransportError(f"masses sum to {Fraction(total, scale)}, expected 1")
-        self._mass = dict(sorted(clean.items()))
-        self._units = scale, units  # the masses as integers at their lcm scale
+        self._units = scale, units
 
     def support(self) -> tuple[int, ...]:
-        return tuple(self._mass)
+        return tuple(self._units[1])
 
     def items(self):
-        return self._mass.items()
+        scale, units = self._units
+        return {v: Fraction(c, scale) for v, c in units.items()}.items()
 
     def __getitem__(self, v: int) -> Fraction:
-        return self._mass.get(v, Fraction(0))
+        scale, units = self._units
+        return Fraction(units.get(v, 0), scale)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Measure) and self._mass == other._mass
+        # Two scales may differ for equal masses: lazy_measure's is not the lcm.
+        return isinstance(other, Measure) and self.items() == other.items()
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{v}: {m}" for v, m in self._mass.items())
+        inner = ", ".join(f"{v}: {m}" for v, m in self.items())
         return f"Measure({{{inner}}})"
 
 
@@ -105,10 +110,7 @@ def lazy_measure(g: Graph, x: int, alpha) -> Measure:
     if p:
         units[x] = p * deg
     measure = Measure.__new__(Measure)  # valid by construction, so not checked again
-    measure._mass = dict.fromkeys(sorted(units), Fraction(q - p, q * deg))
-    if p:
-        measure._mass[x] = alpha
-    measure._units = q * deg, units
+    measure._units = q * deg, dict(sorted(units.items()))
     return measure
 
 
@@ -437,10 +439,7 @@ def optimal_transport(g: Graph, m1: Measure, m2: Measure, metric=None) -> Transp
     foreign = [v for v in domain if v not in g]
     if foreign:
         raise TransportError(f"a measure puts mass on vertex {foreign[0]} not in the graph")
-    (s1, units1), (s2, units2) = m1._units, m2._units
-    scale = lcm(s1, s2)
-    source = {v: c * (scale // s1) for v, c in units1.items()}
-    target = {v: c * (scale // s2) for v, c in units2.items()}
+    scale, source, target = _one_scale(m1._units, m2._units)
     n = len(domain)
     rows, arcs = (metric or partial(_domain_metric, g))(domain)
     net, amount = _metric_network(arcs, [source.get(v, 0) - target.get(v, 0) for v in domain])
@@ -459,7 +458,7 @@ def optimal_transport(g: Graph, m1: Measure, m2: Measure, metric=None) -> Transp
     return TransportResult(Fraction(total, scale), plan, DualPotential(f, anchor))
 
 
-class IdlenessPieces:
+def idleness_lines(g: Graph, x: int, y: int, transport, metric=None) -> list[tuple]:
     """The linear pieces of alpha -> W(m_x^alpha, m_y^alpha) on an edge (x, y), certified.
 
     W is the maximum of the dual lines alpha -> sum f (m_x^alpha - m_y^alpha)
@@ -470,86 +469,61 @@ class IdlenessPieces:
     search (Eisner and Severance, 1976) finds them from solves at 0 and 1/2
     and W(1) = 1: the dual lines of solved points a < b cross at c; if W(c)
     lies on both, W is a's line on [a, c] and b's on [c, b]; else a solve at c
-    splits [a, b]. `pieces` lists (a, b, f, (c0, slope)): ends (alpha, W,
-    plan), each with its solve's own TransportPlan (at alpha = 1 the unit step
-    x -> y), and a DualPotential f whose dual line c0 + alpha * slope is W on
-    [a, b]. `transport(x, y, alpha)` gives a TransportResult; `metric` goes
-    to `verify_duality`.
+    splits [a, b]. `transport(x, y, alpha)` gives a TransportResult; `metric`
+    goes to `verify_duality`.
 
-    `lines()` gives every piece's (a, b, c0, slope) and `distance(alpha)`
-    reads W off one piece's line. Either certifies a piece at its two ends on
-    its first read: `verify_duality` checks f against each end's plan, and
-    each end's W must lie on f's line. That is exact: the measures, f's dual
-    value and the plan interpolated between the ends, with its cost, are
-    affine in alpha, so if the plans and f certify each other at a and at b,
-    the interpolated plan and f do so at every alpha in [a, b], and W is f's
-    line there.
+    Returns (a, b, c0, slope) for each piece in order: W = c0 + alpha * slope
+    on [a, b]. Each piece is certified at its two ends, each end with its
+    solve's own plan (at alpha = 1 the unit step x -> y): `verify_duality`
+    checks the piece's potential f against the end's plan, and the end's W
+    must lie on f's line. That is exact: the measures, f's dual value and the
+    plan interpolated between the ends, with its cost, are affine in alpha,
+    so if the plans and f certify each other at a and at b, the interpolated
+    plan and f do so at every alpha in [a, b], and W is f's line there.
     """
+    domain = tuple(sorted({x, y, *g.neighbors(x), *g.neighbors(y)}))
 
-    __slots__ = ("pieces", "_g", "_x", "_y", "_metric", "_certified")
+    def point(alpha, w, plan, f):  # f's dual line is c0 + alpha * slope: (c0, slope)
+        c0 = (Fraction(sum(f[v] for v in g.neighbors(x)), g.degree(x))
+              - Fraction(sum(f[v] for v in g.neighbors(y)), g.degree(y)))
+        return (alpha, w, plan), f, (c0, f[x] - f[y] - c0)
 
-    def __init__(self, g: Graph, x: int, y: int, transport, metric=None):
-        domain = tuple(sorted({x, y, *g.neighbors(x), *g.neighbors(y)}))
-        self._g, self._x, self._y, self._metric, self._certified = g, x, y, metric, set()
+    def solve(alpha):
+        result = transport(x, y, alpha)
+        return point(alpha, result.distance, result.plan, result.potential)
 
-        def point(alpha, w, plan, f):  # f's dual line is c0 + alpha * slope: (c0, slope)
-            c0 = (Fraction(sum(f[v] for v in g.neighbors(x)), g.degree(x))
-                  - Fraction(sum(f[v] for v in g.neighbors(y)), g.degree(y)))
-            return (alpha, w, plan), f, (c0, f[x] - f[y] - c0)
-
-        def solve(alpha):
-            result = transport(x, y, alpha)
-            return point(alpha, result.distance, result.plan, result.potential)
-
-        half = solve(Fraction(1, 2))
-        step = TransportPlan({(x, y): 1}, Measure({x: 1}), Measure({y: 1}))
-        one = point(1, 1, step, DualPotential(dict(zip(domain, g.distance_row(y, domain))), y))
-        stack, found = [(half, one), (solve(Fraction(0)), half)], []
-        while stack:
-            lo, hi = stack.pop()
-            (a, fa, (c0, s0)), (b, fb, (c1, s1)) = lo, hi
-            c = (c0 - c1) / (s1 - s0) if s1 != s0 else b[0]  # s1 > s0 unless one line
-            if not a[0] <= c <= b[0]:
-                raise InternalConsistencyError(f"dual lines cross outside [{a[0]}, {b[0]}]")
-            if c in (a[0], b[0]):
-                found.append((a, b, *(hi if c == a[0] else lo)[1:]))
-                continue
-            mid = solve(c)
-            if mid[0][1] == c0 + c * s0:
-                found += [(a, mid[0], fa, (c0, s0)), (mid[0], b, fb, (c1, s1))]
-            else:
-                stack += [(mid, hi), (lo, mid)]
-        self.pieces = []
-        for a, b, f, line in found:  # a line met again continues its piece
-            if self.pieces and self.pieces[-1][3] == line:
-                a = self.pieces.pop()[0]
-            self.pieces.append((a, b, f, line))
-
-    def _line(self, i: int) -> tuple:
-        """(a, b, c0, slope) of piece i, certified at its two ends on the first call."""
-        *ends, f, (c0, slope) = self.pieces[i]
-        if i not in self._certified:
-            for end, w, plan in ends:
-                problems = [*verify_duality(plan, f, self._g, self._metric).violations]
-                if w != c0 + end * slope:
-                    problems.append(f"W = {w} is off the dual line")
-                if problems:
-                    raise InternalConsistencyError(f"idleness piece of ({self._x}, {self._y}), "
-                                                   f"alpha {end}: {'; '.join(problems)}")
-            self._certified.add(i)
-        return ends[0][0], ends[1][0], c0, slope
-
-    def lines(self) -> list[tuple]:
-        """(a, b, c0, slope) of each piece in order, certified: W = c0 + alpha * slope."""
-        return [self._line(i) for i in range(len(self.pieces))]
-
-    def distance(self, alpha: Fraction) -> Fraction:
-        """W(alpha), read off its piece's certified line."""
-        if not 0 <= alpha <= 1:
-            raise TransportError(f"alpha must lie in [0, 1], got {alpha}")
-        _, _, c0, slope = self._line(next(i for i, p in enumerate(self.pieces)
-                                          if alpha <= p[1][0]))
-        return c0 + alpha * slope
+    half = solve(Fraction(1, 2))
+    step = TransportPlan({(x, y): 1}, Measure({x: 1}), Measure({y: 1}))
+    one = point(1, 1, step, DualPotential(dict(zip(domain, g.distance_row(y, domain))), y))
+    stack, found = [(half, one), (solve(Fraction(0)), half)], []
+    while stack:
+        lo, hi = stack.pop()
+        (a, fa, (c0, s0)), (b, fb, (c1, s1)) = lo, hi
+        c = (c0 - c1) / (s1 - s0) if s1 != s0 else b[0]  # s1 > s0 unless one line
+        if not a[0] <= c <= b[0]:
+            raise InternalConsistencyError(f"dual lines cross outside [{a[0]}, {b[0]}]")
+        if c in (a[0], b[0]):
+            found.append((a, b, *(hi if c == a[0] else lo)[1:]))
+            continue
+        mid = solve(c)
+        if mid[0][1] == c0 + c * s0:
+            found += [(a, mid[0], fa, (c0, s0)), (mid[0], b, fb, (c1, s1))]
+        else:
+            stack += [(mid, hi), (lo, mid)]
+    pieces = []
+    for a, b, f, line in found:  # a line met again continues its piece
+        if pieces and pieces[-1][3] == line:
+            a = pieces.pop()[0]
+        pieces.append((a, b, f, line))
+    for *ends, f, (c0, slope) in pieces:
+        for end, w, plan in ends:
+            problems = [*verify_duality(plan, f, g, metric).violations]
+            if w != c0 + end * slope:
+                problems.append(f"W = {w} is off the dual line")
+            if problems:
+                raise InternalConsistencyError(f"idleness piece of ({x}, {y}), "
+                                               f"alpha {end}: {'; '.join(problems)}")
+    return [(a[0], b[0], *line) for a, b, _, line in pieces]
 
 
 def wasserstein(g: Graph, m1: Measure, m2: Measure) -> tuple[Fraction, TransportPlan]:
@@ -583,10 +557,11 @@ def verify_duality(
 ) -> DualityCheck:
     """True iff plan and potential are feasible and their values agree exactly.
 
-    The plan and both measures are scaled to one integer scale
-    (`_common_scale`) and checked by the certificate that
-    `optimal_transport` runs, against the metric rows on the potential's and
-    the plan's vertices (`metric` as `optimal_transport` takes it). An entry
+    The plan's entries are scaled to integers (`_scaled`) and brought to one
+    scale with the measures' own units (`_one_scale`), then checked by the
+    certificate that `optimal_transport` runs, against the metric rows on the
+    potential's and the plan's vertices (`metric` as `optimal_transport`
+    takes it). An entry
     that is not a finite number is reported and left out of the scaled plan;
     a vertex that is not in g is reported, and then nothing is measured.
     """
@@ -602,7 +577,8 @@ def verify_duality(
                  for v in potential.values if v not in g]
     domain = tuple(sorted(set(potential.values).union(*plan.entries)))
     if all(v in g for v in domain):
-        scale, units, source, target = _common_scale(entries, plan.source, plan.target)
+        scale, units, source, target = _one_scale(_scaled(entries), plan.source._units,
+                                                  plan.target._units)
         rows = (metric or partial(_domain_metric, g))(domain)[0]
         problems += _duality_violations(units, source, target, potential.values, domain, rows,
                                         scale)

@@ -100,9 +100,10 @@ def test_verify_solves_each_transport_problem_once(tmp_path, capsys, monkeypatch
 
 
 @pytest.mark.parametrize("check", ["concavity", "slope-monotonicity"])
-def test_grid_checks_take_few_solves_per_sampled_edge(monkeypatch, check):
-    # The icosahedron has 30 edges, so each check samples 12 of them. Solving
-    # at every alpha of the tenths grid took 11 solves per edge (132).
+def test_line_checks_take_few_solves_per_sampled_edge(monkeypatch, check):
+    # The icosahedron has 30 edges, so each check samples 12 of them and reads
+    # their lines from at most 5 solves per edge on average. Reading
+    # kappa_alpha at every tenth took 11 solves per edge (132).
     g, rot = families.icosahedron()
     calls = _count_calls(monkeypatch, riccikit.transport.optimal_transport)
     assert run_checks(g, rot=rot, checks=[check], seed=1)[0].status == "pass"
@@ -148,7 +149,7 @@ def test_line_checks_fail_on_hand_made_lines(check, lines, message):
     result = _CHECK_FUNCS[check](
         g=Graph([(0, 1)]), rng=random.Random(0),
         report=SimpleNamespace(edges=[SimpleNamespace(u=0, v=1, kappa=F(1, 4))]),
-        pieces=lambda x, y: SimpleNamespace(lines=lambda: lines),
+        lines=lambda x, y: lines,
     )
     assert result.status == "fail"
     assert result.details == f"edge (0, 1): {message}"

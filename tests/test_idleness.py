@@ -1,16 +1,17 @@
-"""The certified idleness pieces of alpha -> W(m_x^alpha, m_y^alpha) on an edge."""
+"""The certified idleness lines of alpha -> W(m_x^alpha, m_y^alpha) on an edge."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 
 import pytest
 
-from riccikit import families, transport
+from riccikit import checks, families, transport
 from riccikit.cli import main
 from riccikit.curvature import _lazy_transport, curvature_report
 from riccikit.graphs import Graph
-from riccikit.transport import IdlenessPieces, InternalConsistencyError, TransportError
+from riccikit.transport import InternalConsistencyError, Measure, idleness_lines
 
 from oracles import random_connected_graph
 
@@ -21,8 +22,13 @@ NAMED = [("figure1",), ("icosahedron",),
          *(("hypercube", d) for d in range(1, 5))]
 
 
-def _pieces(g, x, y):
-    return IdlenessPieces(g, x, y, partial(_lazy_transport, g))
+def _lines(g, x, y):
+    return idleness_lines(g, x, y, partial(_lazy_transport, g))
+
+
+def _w(lines, alpha):
+    """W(alpha), read off the line of the first piece that reaches alpha."""
+    return next(c0 + alpha * slope for _, b, c0, slope in lines if alpha <= b)
 
 
 def _graphs():
@@ -38,122 +44,125 @@ def test_pieces_give_lazy_transport_on_the_sixtieths(name, g):
     kappa = {(e.u, e.v): e.kappa for e in curvature_report(g, mode="lly").edges}
     solve = partial(_lazy_transport, g)
     for x, y in g.edges():
-        pieces = IdlenessPieces(g, x, y, solve)
+        lines = idleness_lines(g, x, y, solve)
         # Bourne, Cushing, Liu, Muench and Peyerimhoff: at most three pieces.
-        assert 1 <= len(pieces.pieces) <= 3
-        assert [p[0][0] for p in pieces.pieces] + [1] == [0] + [p[1][0] for p in pieces.pieces]
+        assert 1 <= len(lines) <= 3
+        assert [a for a, *_ in lines] + [1] == [0] + [b for _, b, *_ in lines]
         for alpha in GRID:
-            assert pieces.distance(alpha) == solve(x, y, alpha).distance, (x, y, alpha)
+            assert _w(lines, alpha) == solve(x, y, alpha).distance, (x, y, alpha)
         # On the last piece kappa_alpha = 1 - W = (1 - alpha) kappa_LLY, so W
         # has slope kappa_LLY there; the piece starts by 1 / (max degree + 1).
-        assert pieces.pieces[-1][3][1] == kappa[x, y]
-        last = pieces.pieces[-1][0][0]
+        last, _, _, slope = lines[-1]
+        assert slope == kappa[x, y]
         assert last <= Fraction(1, max(g.degree(x), g.degree(y)) + 1)
 
 
-def _middle(pieces):
-    """An alpha strictly inside the first piece, the piece's left end and its
-    potential's values."""
-    start, end, f, _ = pieces.pieces[0]
-    return (start[0] + end[0]) / 2, start, f.values
+def _doctored(at, doctor):
+    """`_lazy_transport` with the result of the solve of (x, y, alpha) = `at`
+    passed through `doctor`."""
+    def solve(g, x, y, alpha, metric=None):
+        result = _lazy_transport(g, x, y, alpha, metric)
+        return doctor(result) if (x, y, alpha) == at else result
+    return solve
 
 
-def _move_mass(masses, old, new):
-    """Move half the mass at key `old` to key `new` of the same mapping."""
+def _lines_with(g, at, doctor):
+    return idleness_lines(g, *at[:2], partial(_doctored(at, doctor), g))
+
+
+def _moved(masses, old, new):
+    """A copy of `masses` with half the mass at key `old` moved to key `new`."""
     half = masses[old] / 2
-    masses[old] -= half
-    masses[new] = masses.get(new, 0) + half
+    return {**masses, old: masses[old] - half, new: masses.get(new, 0) + half}
+
+
+def _moved_in_a_row(result):
+    """The result with mass in its plan moved to another column of its first row."""
+    entries = result.plan.entries
+    u, v = min(entries)
+    moved = _moved(entries, (u, v), (u, next(k[1] for k in entries if k[1] != v)))
+    return replace(result, plan=replace(result.plan, entries=moved))
+
+
+def _first_break():
+    """The icosahedron, its edge (0, 1) and the right end of the first piece there."""
+    g, _ = families.icosahedron()
+    end = _lines(g, 0, 1)[0][1]
+    assert end < 1  # an end the search solved, not W(1) = 1
+    return g, (0, 1, end)
 
 
 def test_a_moved_unit_in_an_end_plan_is_caught():
     g, _ = families.icosahedron()
-    pieces = _pieces(g, 0, 1)
-    alpha, start, _ = _middle(pieces)
-    # Mass in the left end's plan moves to another column of its row, so
-    # that plan no longer has the target's column sums and the left end's
-    # certificate of the piece fails.
-    entries = start[2].entries
-    u, v = min(entries)
-    _move_mass(entries, (u, v), (u, next(k[1] for k in entries if k[1] != v)))
+    # Mass in the plan of the left end, alpha = 0, moves to another column
+    # of its row, so that plan no longer has the target's column sums and the
+    # left end's certificate of the first piece fails.
     with pytest.raises(InternalConsistencyError, match="column sums"):
-        pieces.distance(alpha)
+        _lines_with(g, (0, 1, 0), _moved_in_a_row)
 
 
 def test_a_potential_value_off_by_one_is_caught():
     g, _ = families.wheel(5)
-    pieces = _pieces(g, 0, 5)
-    alpha, _, f = _middle(pieces)
-    # x = 0 carries net mass alpha - (1 - alpha) / deg(5) != 0 at this alpha.
-    assert alpha != Fraction(1, g.degree(5) + 1)
-    f[0] += 1
+
+    def off_by_one(result):
+        values = result.potential.values
+        return replace(result, potential=replace(result.potential,
+                                                 values={**values, 0: values[0] + 1}))
+
+    # x = 0 carries net mass alpha - (1 - alpha) / deg(5) = -1/5 at alpha = 0.
+    assert g.degree(5) == 5
     with pytest.raises(InternalConsistencyError, match="idleness piece of \\(0, 5\\)"):
-        pieces.distance(alpha)
-
-
-def _right_end_of_first_piece():
-    """The icosahedron's edge (0, 1), an alpha strictly inside its first piece, and
-    that piece's right end."""
-    g, _ = families.icosahedron()
-    pieces = _pieces(g, 0, 1)
-    start, end, _, _ = pieces.pieces[0]
-    assert end[0] < 1  # an end the search solved, not W(1) = 1
-    return pieces, (start[0] + end[0]) / 2, end
+        _lines_with(g, (0, 5, 0), off_by_one)
 
 
 def test_a_moved_unit_in_a_right_end_plan_is_caught():
-    pieces, alpha, end = _right_end_of_first_piece()
-    entries = end[2].entries
-    u, v = min(entries)
-    _move_mass(entries, (u, v), (u, next(k[1] for k in entries if k[1] != v)))
+    g, at = _first_break()
     with pytest.raises(InternalConsistencyError, match="column sums"):
-        pieces.distance(alpha)
+        _lines_with(g, at, _moved_in_a_row)
 
 
 def test_a_moved_unit_in_a_right_end_target_measure_is_caught():
-    pieces, alpha, end = _right_end_of_first_piece()
-    target = end[2].target._mass
-    _move_mass(target, min(target), max(target))
+    g, at = _first_break()
+
+    def moved_target(result):
+        masses = dict(result.plan.target.items())
+        target = Measure(_moved(masses, min(masses), max(masses)))
+        return replace(result, plan=replace(result.plan, target=target))
+
     with pytest.raises(InternalConsistencyError, match="column sums"):
-        pieces.distance(alpha)
+        _lines_with(g, at, moved_target)
 
 
 def test_an_end_off_its_line_is_caught():
     # The plan and the potential still certify each other at the right end,
-    # so only the check that its W lies on the piece's line can fail.
-    pieces, alpha, (b, w, plan) = _right_end_of_first_piece()
-    start, _, f, line = pieces.pieces[0]
-    pieces.pieces[0] = start, (b, w + Fraction(1, w.denominator), plan), f, line
+    # and the search finds the same pieces, so only the check that its W lies
+    # on the piece's line can fail.
+    g, at = _first_break()
+
+    def off_line(result):
+        w = result.distance
+        return replace(result, distance=w + Fraction(1, w.denominator))
+
     with pytest.raises(InternalConsistencyError,
                        match="idleness piece of \\(0, 1\\), alpha .*off the dual line"):
-        pieces.distance(alpha)
-
-
-@pytest.mark.parametrize("alpha", [Fraction(3, 2), Fraction(-1, 2)], ids=str)
-def test_a_read_outside_the_unit_interval_is_refused(alpha):
-    g, _ = families.prism(4)
-    with pytest.raises(TransportError, match=f"alpha must lie in \\[0, 1\\], got {alpha}"):
-        _pieces(g, 0, 1).distance(alpha)
+        _lines_with(g, at, off_line)
 
 
 @pytest.mark.parametrize("spec", [("figure1",), ("icosahedron",), ("wheel", 5)], ids=str)
 def test_each_piece_is_certified_once_at_its_two_ends(spec, monkeypatch):
     g, _ = families.FamilySpec(*spec).build()
-    readers = [lambda pieces: [pieces.distance(a) for a in GRID], IdlenessPieces.lines]
-    # Built before counting: building runs solves, which certify themselves.
-    built = [(read, _pieces(g, x, y)) for x, y in g.edges() for read in readers]
     calls = []
 
     def counted(*args):
         calls.append(args)
         return certify(*args)
 
+    # The solves certify themselves without `verify_duality`.
     certify = transport.verify_duality
     monkeypatch.setattr(transport, "verify_duality", counted)
-    for read, pieces in built:
-        first = read(pieces)
-        assert len(calls) == 2 * len(pieces.pieces)
-        assert read(pieces) == first
-        assert len(calls) == 2 * len(pieces.pieces)
+    for x, y in g.edges():
+        lines = _lines(g, x, y)
+        assert len(calls) == 2 * len(lines)
         calls.clear()
 
 
@@ -165,22 +174,20 @@ def test_reads_solve_nothing():
         calls.append(alpha)
         return _lazy_transport(g, x, y, alpha)
 
-    pieces = IdlenessPieces(g, 0, 1, counted)
+    lines = idleness_lines(g, 0, 1, counted)
     solved = len(calls)
-    assert [pieces.distance(a) for a in GRID] == [_lazy_transport(g, 0, 1, a).distance
-                                                  for a in GRID]
+    assert [_w(lines, a) for a in GRID] == [_lazy_transport(g, 0, 1, a).distance for a in GRID]
     assert len(calls) == solved <= 5
 
 
 def test_a_failed_certificate_is_an_internal_error(tmp_path, capsys, monkeypatch):
-    build = IdlenessPieces.__init__
+    def doubled(result):  # more mass than the source measure holds
+        entries = result.plan.entries
+        key = min(entries)
+        return replace(result, plan=replace(result.plan, entries={**entries,
+                                                                  key: 2 * entries[key]}))
 
-    def corrupted(self, *args):
-        build(self, *args)
-        entries = self.pieces[0][0][2].entries
-        entries[min(entries)] *= 2  # more mass than the source measure holds
-
-    monkeypatch.setattr(IdlenessPieces, "__init__", corrupted)
+    monkeypatch.setattr(checks, "_lazy_transport", _doctored((0, 1, 0), doubled))
     path = tmp_path / "k4.edges"
     path.write_text("0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
     assert main(["verify", "--input", str(path), "--checks", "concavity"]) == 3
@@ -189,23 +196,20 @@ def test_a_failed_certificate_is_an_internal_error(tmp_path, capsys, monkeypatch
 
 def test_verify_certifies_a_piece_that_no_grid_point_reads(tmp_path, capsys, monkeypatch):
     # Edge (0, 1) has pieces [0, 3/23], [3/23, 1/6] and [1/6, 1]: no tenth and
-    # not L / (L + 1) = 20/21 falls in the middle one, so a check that read
-    # kappa_alpha on that grid never certified it.
+    # not L / (L + 1) = 20/21 is an end of the middle one, so a check that read
+    # kappa_alpha on that grid never certified W at 3/23.
     edges = "0 1, 0 2, 0 3, 0 4, 1 2, 1 3, 1 4, 1 6, 2 3, 2 6, 3 6, 4 5"
     g = Graph(tuple(map(int, e.split())) for e in edges.split(", "))
-    ends = [(a[0], b[0]) for a, b, _, _ in _pieces(g, 0, 1).pieces]
+    ends = [(a, b) for a, b, _, _ in _lines(g, 0, 1)]
     assert ends == [(0, Fraction(3, 23)), (Fraction(3, 23), Fraction(1, 6)), (Fraction(1, 6), 1)]
-    build = IdlenessPieces.__init__
 
-    def corrupted(self, g, x, y, *args):
-        build(self, g, x, y, *args)
-        if (x, y) == (0, 1):  # the middle piece's W at 3/23 moves off its line
-            (a, w, plan), *rest = self.pieces[1]
-            self.pieces[1] = ((a, w + Fraction(1, w.denominator), plan), *rest)
+    def off_line(result):  # W at 3/23 moves off the lines of both its pieces
+        w = result.distance
+        return replace(result, distance=w + Fraction(1, w.denominator))
 
-    monkeypatch.setattr(IdlenessPieces, "__init__", corrupted)
+    monkeypatch.setattr(checks, "_lazy_transport", _doctored((0, 1, Fraction(3, 23)), off_line))
     path = tmp_path / "random_082.edges"
     path.write_text(edges.replace(", ", "\n") + "\n")
     for check in ("concavity", "slope-monotonicity"):
         assert main(["verify", "--input", str(path), "--checks", check]) == 3
-        assert "internal error: idleness piece of (0, 1)" in capsys.readouterr().err
+        assert "internal error: idleness piece of (0, 1), alpha 3/23" in capsys.readouterr().err

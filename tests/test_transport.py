@@ -14,9 +14,10 @@ from riccikit.transport import (
     TransportError,
     _MinCostFlow,
     TransportPlan,
-    _common_scale,
     _domain_metric,
     _duality_violations,
+    _one_scale,
+    _scaled,
     kantorovich_potential,
     lazy_measure,
     optimal_transport,
@@ -35,7 +36,8 @@ def certify(plan, potential, dist, distance=None):
 
     `dist` maps every ordered pair of a domain to its distance; it is handed
     to the certificate as rows over the sorted domain."""
-    scale, units, source, target = _common_scale(plan.entries, plan.source, plan.target)
+    scale, units, source, target = _one_scale(_scaled(plan.entries), plan.source._units,
+                                              plan.target._units)
     scaled = None if distance is None else distance * scale
     domain = sorted({u for u, _ in dist})
     rows = [[dist[u, v] for v in domain] for u in domain]
