@@ -66,11 +66,9 @@ from .transport import (
     TransportError,
     TransportPlan,
     TransportResult,
-    kantorovich_potential,
     lazy_measure,
     optimal_transport,
     verify_duality,
-    wasserstein,
 )
 
 __version__ = "0.1.0"

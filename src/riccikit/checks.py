@@ -132,7 +132,8 @@ def _check_concavity(g: Graph, rng: random.Random, lines, **_) -> CheckResult:
                         "concavity", "fail",
                         f"edge ({x}, {y}): kappa_alpha({end}) = {val} exceeds 2(1-alpha)/d",
                     )
-    return CheckResult("concavity", "pass", "midpoint concavity and upper bound hold")
+    return CheckResult("concavity", "pass",
+                       "slopes nondecreasing on every piece and upper bound holds")
 
 
 def _check_slope_monotonicity(

@@ -111,9 +111,10 @@ class LipschitzProgram:
         that does not attain the flow's value, raises InternalConsistencyError.
         """
         x, y, d_xy, domain = self.x, self.y, self.d_xy, self.domain
-        net, amount = _metric_network(self.arcs, self.supply)
         n, ix = len(domain), domain.index(x)
-        net.add_edges([domain.index(y)], [ix], [amount + 1], [-d_xy])
+        tails, heads, costs = self.arcs
+        net, amount = _metric_network(
+            (tails + [domain.index(y)], heads + [ix], costs + [-d_xy]), self.supply)
         # By the triangle inequality these price every arc, y -> x included, at >= 0.
         p = [*self.rows[ix], d_xy + 1, 0]
         value = Fraction(-net.solve(n, n + 1, amount, p), self.scale * d_xy)
@@ -320,13 +321,9 @@ def curvature_report(
         chi = check.euler_characteristic
     if mode == "comb" and rot is None:
         raise EmbeddingError("mode 'comb' needs a rotation system")
-    if sphere:
+    if sphere or mode == "comb":
         phi = combinatorial_curvatures(g, faces)
         vertices = tuple(VertexCurvature(v, phi[v]) for v in g.vertices)
-    elif mode == "comb":
-        raise EmbeddingError(
-            f"embedding has Euler characteristic {chi}, not a sphere"
-        )
 
     edge_records: tuple[EdgeCurvature, ...] = ()
     if mode in _EDGE_MODES:

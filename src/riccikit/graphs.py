@@ -23,8 +23,9 @@ class ParseError(GraphError):
 class Graph:
     """Immutable simple connected undirected graph over integer vertex ids.
 
-    Neighbor lists are kept sorted; all operations treat the graph as
-    read-only, so instances are safe to share across threads/processes.
+    Adjacency is kept once, as sorted neighbor tuples, which `has_edge`
+    reads too; all operations treat the graph as read-only, so instances
+    are safe to share across threads/processes.
 
     The one mutable part is a search memo that `distance_row` keeps: per
     source vertex, the ball of its last local search. It holds only exact
@@ -35,7 +36,7 @@ class Graph:
     every vertex.
     """
 
-    __slots__ = ("_adj", "_nbr_sets", "_vertices", "_edge_count", "_near")
+    __slots__ = ("_adj", "_vertices", "_edge_count", "_near")
 
     def __init__(self, edges: Iterable[tuple[int, int]], vertices: Iterable[int] = ()):
         adj: dict[int, set[int]] = {int(v): set() for v in vertices}
@@ -56,7 +57,6 @@ class Graph:
         self._adj: dict[int, tuple[int, ...]] = {
             v: tuple(sorted(ns)) for v, ns in sorted(adj.items())
         }
-        self._nbr_sets = {v: frozenset(ns) for v, ns in self._adj.items()}
         self._vertices = tuple(self._adj)
         self._edge_count = sum(len(ns) for ns in self._adj.values()) // 2
         self._near: dict[int, dict[int, int]] = {}
@@ -108,9 +108,7 @@ class Graph:
         return list(map(near.__getitem__, targets))
 
     def has_edge(self, u: int, v: int) -> bool:
-        if u not in self._nbr_sets:
-            raise GraphError(f"unknown vertex {u}")
-        return v in self._nbr_sets[u]
+        return v in self.neighbors(u)
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         """All edges as (u, v) with u < v, sorted."""

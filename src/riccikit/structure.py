@@ -196,12 +196,8 @@ def lemma4_sweep(g: Graph, seed: int = 0) -> list[Lemma4Instance]:
             masks = range(1 << len(candidates))
         else:
             masks = (rng.getrandbits(len(candidates)) for _ in range(_SAMPLES))
-        seen_masks = set()
         program = None  # built at the edge's first failing subset
-        for mask in masks:
-            if mask in seen_masks:
-                continue
-            seen_masks.add(mask)
+        for mask in dict.fromkeys(masks):
             # sorted and drawn from Gamma(y) minus {x}, so valid by construction
             subset = tuple(c for i, c in enumerate(candidates) if mask >> i & 1)
             instance, gs = _evaluate(g, x, y, subset)

@@ -377,7 +377,9 @@ def _metric_network(arcs: tuple, supply: Sequence[int]) -> tuple[_MinCostFlow, i
     Node i is the i-th domain vertex, of supply[i]; s = n feeds the positive
     supplies and t = n + 1 drains the negative ones. Returns the network and
     the amount to push s -> t. The arcs get capacity above that amount, so
-    they never saturate and the final potentials satisfy each of them."""
+    they never saturate and the final potentials satisfy each of them. A
+    caller may append arcs of its own to `arcs`, such as the curvature
+    program's gradient arc y -> x; they come last, in the order given."""
     n = len(supply)
     amount = sum(c for c in supply if c > 0)
     tails = [n if c > 0 else i for i, c in enumerate(supply) if c]
@@ -432,9 +434,12 @@ def _coupling(
 def optimal_transport(g: Graph, m1: Measure, m2: Measure, metric=None) -> TransportResult:
     """Exact Wasserstein distance, an optimal coupling, and an integer potential.
 
-    The measures' integer masses are brought to the lcm of their scales, where
-    the solve and its certificate stay. `metric(domain)`, for a sorted domain
-    tuple, is `_domain_metric` on g or a memo of it as `run_checks` keeps."""
+    The potential is 1-Lipschitz and normalized to 0 at the smallest vertex
+    of support(m1); all three are verified, with the zero duality gap,
+    before returning. The measures' integer masses are brought to the lcm of
+    their scales, where the solve and its certificate stay. `metric(domain)`,
+    for a sorted domain tuple, is `_domain_metric` on g or a memo of it as
+    `run_checks` keeps."""
     domain = tuple(sorted(set(m1.support()) | set(m2.support())))
     foreign = [v for v in domain if v not in g]
     if foreign:
@@ -524,21 +529,6 @@ def idleness_lines(g: Graph, x: int, y: int, transport, metric=None) -> list[tup
                 raise InternalConsistencyError(f"idleness piece of ({x}, {y}), "
                                                f"alpha {end}: {'; '.join(problems)}")
     return [(a[0], b[0], *line) for a, b, _, line in pieces]
-
-
-def wasserstein(g: Graph, m1: Measure, m2: Measure) -> tuple[Fraction, TransportPlan]:
-    """Exact transportation distance and an optimal coupling."""
-    result = optimal_transport(g, m1, m2)
-    return result.distance, result.plan
-
-
-def kantorovich_potential(g: Graph, m1: Measure, m2: Measure) -> DualPotential:
-    """Integer 1-Lipschitz potential attaining the transportation distance.
-
-    Normalized to 0 at the smallest vertex of support(m1) and verified, with
-    the zero duality gap, before returning.
-    """
-    return optimal_transport(g, m1, m2).potential
 
 
 @dataclass(frozen=True)

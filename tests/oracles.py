@@ -16,8 +16,9 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
+from riccikit import families
 from riccikit.curvature import LipschitzProgram
-from riccikit.graphs import Graph, bfs_distances
+from riccikit.graphs import Graph, RotationSystem, bfs_distances
 from riccikit.transport import _domain_metric
 
 
@@ -179,6 +180,14 @@ def star_with_pendants() -> tuple[Graph, int, int, tuple[int, int]]:
     """
     edges = [(0, i) for i in range(1, 7)] + [(1, 7), (1, 8)]
     return Graph(edges), 0, 1, (7, 8)
+
+
+def torus_k4() -> tuple[Graph, RotationSystem]:
+    """K4 with vertex 0's rotation reversed: two faces, Euler characteristic 0."""
+    g, rot = families.complete(4)
+    order = {v: rot.order(v) for v in g.vertices}
+    order[0] = order[0][::-1]
+    return g, RotationSystem(g, order)
 
 
 def oracle_lemma4(g: Graph, x: int, y: int, subset) -> dict:

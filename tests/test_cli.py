@@ -14,7 +14,7 @@ from riccikit import families
 from riccikit.graphs import to_edgelist_text, to_rotation_text
 from riccikit.transport import _MinCostFlow
 
-from oracles import star_with_pendants
+from oracles import star_with_pendants, torus_k4
 
 
 def run_cli(capsys, *argv):
@@ -245,6 +245,20 @@ def test_one_vertex_rotation_is_a_sphere(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "verify", "--input", str(path), "--checks", "gauss-bonnet")
     assert code == 0
     assert out == "PASS gauss-bonnet: sum of phi equals 2 exactly\n"
+
+
+def test_comb_mode_on_a_non_sphere_rotation_exit2(tmp_path, capsys):
+    path = tmp_path / "k4_torus.rot"
+    path.write_text(to_rotation_text(torus_k4()[1]))
+    code, out, err = run_cli(capsys, "curvature", "--input", str(path), "--mode", "comb")
+    assert (code, out) == (2, "")
+    assert err == "error: embedding has Euler characteristic 0, not a sphere\n"
+    code, out, _ = run_cli(capsys, "curvature", "--input", str(path), "--mode", "lly",
+                           "--jobs", "1")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["embedding"] == {"euler_characteristic": 0, "sphere": False}
+    assert "vertices" not in payload
 
 
 def test_verify_triangle_exit0(tmp_path, capsys):

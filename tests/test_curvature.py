@@ -39,6 +39,7 @@ from oracles import (
     random_connected_graph,
     relabeled,
     star_with_pendants,
+    torus_k4,
 )
 
 
@@ -453,6 +454,17 @@ def test_report_comb_mode():
     assert rep.positively_curved
     assert rep.min_phi == Fraction(1, 4)
     assert rep.sphere is True
+
+
+def test_report_on_a_non_sphere_rotation():
+    g, rot = torus_k4()
+    with pytest.raises(EmbeddingError,
+                       match="^embedding has Euler characteristic 0, not a sphere$"):
+        curvature_report(g, rot=rot, mode="comb")
+    rep = curvature_report(g, rot=rot, mode="lly")
+    assert rep.sphere is False and rep.euler_characteristic == 0
+    assert rep.vertices is None
+    assert len(rep.edges) == 6
 
 
 def test_program_build_work_is_independent_of_graph_size(monkeypatch):

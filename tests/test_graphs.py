@@ -250,6 +250,19 @@ def test_distances_and_diameter_match_networkx():
         assert diameter(g) == nx.diameter(h)
 
 
+def test_has_edge_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(28)
+    for _ in range(20):
+        g = random_connected_graph(rng, n_max=12, max_degree=5)
+        h = nx.Graph(g.edges())
+        for u in g.vertices:
+            for v in range(g.vertex_count + 2):  # the last two are unknown vertices
+                assert g.has_edge(u, v) == h.has_edge(u, v)
+    with pytest.raises(GraphError, match="unknown vertex 99"):
+        g.has_edge(99, 0)
+
+
 def test_distances_to_matches_bfs_distances_on_random_domains():
     rng = random.Random(2718)
     for _ in range(60):

@@ -167,6 +167,24 @@ def test_lemma4_sweep_samples_subsets_of_a_degree_11_edge():
     assert a == lemma4_sweep(g, seed=5)
 
 
+def test_lemma4_sweep_draws_each_sampled_mask_once_in_first_draw_order():
+    # deg(y) = 12: the hub edge's 11 candidates are sampled. Of the 1,024
+    # draws at seed 5, 799 masks are distinct; each is evaluated once, at its
+    # first draw, and exactly those with at least two leaves fail.
+    g = _two_hubs(11)
+    assert g.degree(1) > riccikit.structure._EXHAUSTIVE_DEGREE
+    candidates = tuple(range(13, 24))
+    rng = random.Random(5)
+    draws = [rng.getrandbits(len(candidates)) for _ in range(riccikit.structure._SAMPLES)]
+    assert len(set(draws)) == 799
+    expected = [tuple(c for i, c in enumerate(candidates) if mask >> i & 1)
+                for mask in dict.fromkeys(draws) if mask.bit_count() >= 2]
+    failing = lemma4_sweep(g, seed=5)
+    assert all((f.x, f.y) == (0, 1) for f in failing)
+    assert [f.subset for f in failing] == expected
+    assert len(failing) == 794
+
+
 def _two_hubs(leaves):
     """Adjacent hubs 0 and 1, each with `leaves` leaves of its own."""
     return Graph([(0, 1)] + [(0, v) for v in range(2, 2 + leaves)]

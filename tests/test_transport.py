@@ -18,11 +18,9 @@ from riccikit.transport import (
     _duality_violations,
     _one_scale,
     _scaled,
-    kantorovich_potential,
     lazy_measure,
     optimal_transport,
     verify_duality,
-    wasserstein,
 )
 
 from oracles import oracle_duality_violations, oracle_wasserstein, random_connected_graph
@@ -84,7 +82,8 @@ def test_lazy_measure_examples(k3):
 
 def test_wasserstein_identical_measures(k3):
     m = lazy_measure(k3, 0, Fraction(1, 3))
-    w, plan = wasserstein(k3, m, m)
+    result = optimal_transport(k3, m, m)
+    w, plan = result.distance, result.plan
     assert w == 0
     assert plan.cost(k3) == 0
     assert plan.row_sums() == dict(m.items())
@@ -94,7 +93,8 @@ def test_wasserstein_identical_measures(k3):
 def test_wasserstein_point_masses(c6):
     dx = Measure({0: 1})
     dy = Measure({3: 1})
-    w, plan = wasserstein(c6, dx, dy)
+    result = optimal_transport(c6, dx, dy)
+    w, plan = result.distance, result.plan
     assert w == bfs_distances(c6, 0)[3] == 3
     assert dict(plan.entries) == {(0, 3): Fraction(1)}
 
@@ -104,26 +104,26 @@ def test_wasserstein_triangle_lazy_zero(k3):
     m1 = lazy_measure(k3, 0, 0)
     m2 = lazy_measure(k3, 1, 0)
     assert oracle_wasserstein(k3, m1, m2) == half
-    w, _ = wasserstein(k3, m1, m2)
+    w = optimal_transport(k3, m1, m2).distance
     assert w == half
 
 
 def test_wasserstein_rejects_foreign_support(k3, c6):
     m_far = lazy_measure(c6, 5, 0)
     with pytest.raises(TransportError, match="mass on vertex"):
-        wasserstein(k3, lazy_measure(k3, 0, 0), m_far)
+        optimal_transport(k3, lazy_measure(k3, 0, 0), m_far)
 
 
 def test_potential_identical_measures(k3):
     m = lazy_measure(k3, 2, half)
-    pot = kantorovich_potential(k3, m, m)
+    pot = optimal_transport(k3, m, m).potential
     assert pot.pairing(m, m) == 0
 
 
 def test_potential_point_masses(c6):
     dx = Measure({0: 1})
     dy = Measure({2: 1})
-    pot = kantorovich_potential(c6, dx, dy)
+    pot = optimal_transport(c6, dx, dy).potential
     assert pot[0] - pot[2] == 2
     assert pot[pot.anchor] == 0 and pot.anchor == 0
 
@@ -131,7 +131,7 @@ def test_potential_point_masses(c6):
 def test_potential_triangle(k3):
     m1 = lazy_measure(k3, 0, 0)
     m2 = lazy_measure(k3, 1, 0)
-    pot = kantorovich_potential(k3, m1, m2)
+    pot = optimal_transport(k3, m1, m2).potential
     assert all(isinstance(v, int) for _, v in pot.items())
     assert pot.pairing(m1, m2) == half
     with pytest.raises(TransportError):
@@ -148,7 +148,7 @@ def test_verify_duality_accepts_optimal_pair(k3):
 def test_verify_duality_flags_gap(k3):
     m1 = lazy_measure(k3, 0, 0)
     m2 = lazy_measure(k3, 1, 0)
-    _, plan = wasserstein(k3, m1, m2)
+    plan = optimal_transport(k3, m1, m2).plan
     zero_pot = DualPotential({v: 0 for v in k3.vertices}, anchor=0)
     check = verify_duality(plan, zero_pot, k3)
     assert not check
@@ -234,10 +234,10 @@ def test_w_is_a_metric_on_lazy_measures():
         x, y, z = rng.sample(list(g.vertices), 3)
         alpha = Fraction(1, 3)
         mx, my, mz = (lazy_measure(g, v, alpha) for v in (x, y, z))
-        wxy, _ = wasserstein(g, mx, my)
-        wyx, _ = wasserstein(g, my, mx)
-        wyz, _ = wasserstein(g, my, mz)
-        wxz, _ = wasserstein(g, mx, mz)
+        wxy = optimal_transport(g, mx, my).distance
+        wyx = optimal_transport(g, my, mx).distance
+        wyz = optimal_transport(g, my, mz).distance
+        wxz = optimal_transport(g, mx, mz).distance
         assert wxy == wyx
         assert wxz <= wxy + wyz
         assert wxy > 0  # distinct lazy measures
@@ -254,7 +254,7 @@ def test_lazy_walk_transport_distance_bounds():
         verts = list(g.vertices)
         for alpha in (Fraction(0), Fraction(1, 2), Fraction(9, 10)):
             x, y = rng.sample(verts, 2)
-            w, _ = wasserstein(g, lazy_measure(g, x, alpha), lazy_measure(g, y, alpha))
+            w = optimal_transport(g, lazy_measure(g, x, alpha), lazy_measure(g, y, alpha)).distance
             assert w <= dist[x][y] + 2 * (1 - alpha)
 
     translation_families = [
@@ -269,7 +269,8 @@ def test_lazy_walk_transport_distance_bounds():
                 for y in g.vertices:
                     if x == y:
                         continue
-                    w, _ = wasserstein(g, lazy_measure(g, x, alpha), lazy_measure(g, y, alpha))
+                    mx, my = lazy_measure(g, x, alpha), lazy_measure(g, y, alpha)
+                    w = optimal_transport(g, mx, my).distance
                     assert w <= dist[x][y]
 
 
@@ -278,7 +279,8 @@ def test_lazy_walk_transport_can_exceed_distance():
     # is negatively curved, so its lazy measures are farther apart than the
     # endpoints themselves
     g = Graph([(0, 1), (0, 2), (0, 3), (1, 4)])
-    w, _ = wasserstein(g, lazy_measure(g, 0, Fraction(1, 3)), lazy_measure(g, 1, Fraction(1, 3)))
+    m0, m1 = lazy_measure(g, 0, Fraction(1, 3)), lazy_measure(g, 1, Fraction(1, 3))
+    w = optimal_transport(g, m0, m1).distance
     assert w == Fraction(11, 9) > 1
 
 
@@ -288,7 +290,8 @@ def test_integer_potentials_for_adjacent_lazy_pairs():
         g = random_connected_graph(rng, n_max=9, max_degree=5)
         x, y = rng.choice(list(g.edges()))
         for alpha in (Fraction(0), Fraction(1, 3), half):
-            pot = kantorovich_potential(g, lazy_measure(g, x, alpha), lazy_measure(g, y, alpha))
+            mx, my = lazy_measure(g, x, alpha), lazy_measure(g, y, alpha)
+            pot = optimal_transport(g, mx, my).potential
             assert all(isinstance(v, int) for _, v in pot.items())
 
 
