@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Mapping, Optional, Sequence
 
 
@@ -209,26 +211,81 @@ def common_neighbors(g: Graph, x: int, y: int) -> set[int]:
 
 
 def diameter(g: Graph) -> int:
-    """Exact diameter by iFUB (Crescenzi et al., TCS 2013) from a 4-sweep centre r.
+    """Exact diameter by iFUB (Crescenzi et al., TCS 2013), skipping certified vertices.
 
-    Vertices are taken by falling BFS level from r, each eccentricity raising
-    the lower bound lb. Any pair not yet covered by lb has both ends at most
-    the current level i from r, so at most 2i apart: lb >= 2i is the answer.
+    Two double sweeps give a lower bound lb and a centre r. iFUB takes
+    vertices by falling BFS level i from r, each eccentricity raising lb;
+    a pair that lb does not cover has both ends at most i from r, so at
+    most 2i apart, and lb >= 2i is the answer.
+
+    It skips the vertices certified to have eccentricity <= lb. For two
+    centres a and b with known distances, d(u, v) <= min(d(a, u) + d(a, v),
+    d(b, u) + d(b, v)), and u is certified when that bound is <= lb for
+    every v still unsure (`_uncertified`). Every other v was searched or
+    certified, so d(u, v) <= lb too. As lb only grows, each vertex above
+    the current level is searched or certified, the stop rule covers
+    every pair, and the answer is exact.
+
+    The first centres are the last sweep's source and the unsure vertex
+    farthest from it. While a round certifies at least half of the unsure
+    vertices and iFUB would still search more than two of them, the next
+    centres are the unsure vertex highest above r and the unsure vertex
+    farthest from it. Prisms and antiprisms then take 6 to 9 BFS runs
+    instead of about |V| / 2.
     """
     r, lb = max(g.vertices, key=g.degree), 0
     for _ in range(2):  # double sweeps; r moves to the middle of a longest path found
         dist = bfs_distances(g, r).dist
-        dist = bfs_distances(g, max(dist, key=dist.get)).dist
+        a = max(dist, key=dist.get)
+        dist = bfs_distances(g, a).dist
         r = max(dist, key=dist.get)
         lb = max(lb, dist[r])
         for _ in range(dist[r] - dist[r] // 2):
             r = next(w for w in g.neighbors(r) if dist[w] == dist[r] - 1)
     levels = bfs_distances(g, r).dist
+    unsure = set(g.vertices)  # vertices whose eccentricity may exceed lb
+    while True:  # a round: dist maps a, whose eccentricity is at most lb
+        before = len(unsure)
+        unsure.remove(a)
+        if sum(2 * levels[v] > lb for v in unsure) <= 2:
+            break
+        b = max(unsure, key=dist.get)
+        near = bfs_distances(g, b).dist
+        lb = max(lb, max(near.values()))
+        unsure = _uncertified(dist, near, unsure - {b}, lb)
+        if not unsure or 2 * len(unsure) > before:
+            break
+        a = max(unsure, key=levels.get)
+        dist = bfs_distances(g, a).dist
+        lb = max(lb, max(dist.values()))
     for v in reversed(levels):  # BFS order, so levels fall
         if lb >= 2 * levels[v]:
             break
-        lb = max(lb, bfs_distances(g, v).eccentricity)
+        if v in unsure:
+            lb = max(lb, bfs_distances(g, v).eccentricity)
     return lb
+
+
+def _uncertified(da: Mapping[int, int], db: Mapping[int, int], vertices: Iterable[int],
+                 lb: int) -> set[int]:
+    """{u in vertices : max over v in vertices of min(da[u] + da[v], db[u] + db[v]) > lb}.
+
+    The pair takes the da-sum exactly when (da[u] - db[u]) + (da[v] - db[v])
+    <= 0. So after one sort by da - db, the v that take the da-sum for u
+    form a prefix, whose largest da is a prefix maximum, and the rest take
+    the db-sum, whose largest db is a suffix maximum: O(n log n) in all.
+    """
+    order = sorted(vertices, key=lambda v: da[v] - db[v])
+    gaps = [da[v] - db[v] for v in order]
+    none = float("-inf")
+    heads = [none, *accumulate((da[v] for v in order), max)]  # max da over order[:k]
+    tails = [*accumulate((db[v] for v in reversed(order)), max)][::-1] + [none]  # over order[k:]
+    unsure = set()
+    for u, gap in zip(order, gaps):
+        k = bisect_right(gaps, -gap)
+        if da[u] + heads[k] > lb or db[u] + tails[k] > lb:
+            unsure.add(u)
+    return unsure
 
 
 class RotationSystem:

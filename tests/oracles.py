@@ -165,6 +165,28 @@ def random_connected_graph(rng: random.Random, n_max: int = 12, max_degree: int 
     return Graph(edges)
 
 
+def ifub_diameter(g: Graph) -> int:
+    """Plain iFUB from a 4-sweep centre, with no certified skips.
+
+    A copy of `riccikit.graphs.diameter` before it certified vertices with
+    two-centre bounds: the reference for how many BFS runs that saves.
+    """
+    r, lb = max(g.vertices, key=g.degree), 0
+    for _ in range(2):
+        dist = bfs_distances(g, r).dist
+        dist = bfs_distances(g, max(dist, key=dist.get)).dist
+        r = max(dist, key=dist.get)
+        lb = max(lb, dist[r])
+        for _ in range(dist[r] - dist[r] // 2):
+            r = next(w for w in g.neighbors(r) if dist[w] == dist[r] - 1)
+    levels = bfs_distances(g, r).dist
+    for v in reversed(levels):
+        if lb >= 2 * levels[v]:
+            break
+        lb = max(lb, bfs_distances(g, v).eccentricity)
+    return lb
+
+
 def relabeled(g: Graph, rng: random.Random) -> tuple[Graph, dict[int, int]]:
     """Random vertex relabeling of g (fresh ids), plus the mapping used."""
     perm = list(g.vertices)

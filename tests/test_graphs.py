@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from riccikit import families
+from riccikit import families, graphs
 from riccikit.graphs import (
     Graph,
     GraphError,
@@ -22,9 +22,11 @@ from riccikit.graphs import (
     to_rotation_text,
     trace_faces,
     validate_embedding,
+    _uncertified,
 )
 
-from oracles import all_pairs_distances, random_connected_graph
+import oracles
+from oracles import all_pairs_distances, ifub_diameter, random_connected_graph, relabeled
 
 
 def test_parse_edgelist_triangle():
@@ -305,6 +307,74 @@ def test_diameter_matches_networkx_on_trees_with_chords():
     nx = pytest.importorskip("networkx")
     for g in _trees_with_chords(random.Random(1013), 1100):
         assert diameter(g) == nx.diameter(nx.Graph(g.edges()))
+
+
+def _largest_eccentricity(g: Graph) -> int:
+    return max(bfs_distances(g, v).eccentricity for v in g.vertices)
+
+
+def _with_relabellings(g: Graph) -> list[Graph]:
+    """g in its family labels and under three seeded relabellings: tie-breaks follow the labels."""
+    return [g] + [relabeled(g, random.Random(seed))[0] for seed in (1, 2, 3)]
+
+
+def test_diameter_is_the_largest_eccentricity_on_vertex_transitive_families():
+    for make in (families.cycle, families.prism, families.antiprism):
+        for n in range(3, 81):
+            g = make(n)[0]
+            expected = _largest_eccentricity(g)  # relabelling keeps every eccentricity
+            for h in _with_relabellings(g):
+                assert diameter(h) == expected, (make.__name__, n, h)
+
+
+def test_diameter_is_the_largest_eccentricity_on_cubes_wheels_and_cliques():
+    cases = [families.hypercube(d)[0] for d in range(1, 8)]
+    cases += [families.wheel(n)[0] for n in range(3, 41)]
+    cases += [families.complete(n)[0] for n in range(2, 25)]
+    for g in cases:
+        for h in _with_relabellings(g):
+            assert diameter(h) == _largest_eccentricity(g), h
+
+
+def test_uncertified_matches_brute_force():
+    rng = random.Random(3141)
+    for _ in range(150):
+        g = random_connected_graph(rng, n_max=20, max_degree=4)
+        a, b = rng.choice(g.vertices), rng.choice(g.vertices)
+        da, db = bfs_distances(g, a).dist, bfs_distances(g, b).dist
+        for vertices in (set(g.vertices), set(rng.sample(g.vertices, rng.randint(1, g.vertex_count)))):
+            for lb in range(max(da.values()), 2 * max(da.values()) + 2):
+                expected = {u for u in vertices
+                            if max(min(da[u] + da[v], db[u] + db[v]) for v in vertices) > lb}
+                assert _uncertified(da, db, vertices, lb) == expected
+    assert _uncertified({0: 0}, {0: 0}, set(), 0) == set()
+
+
+def _bfs_runs(monkeypatch, module, diameter_of, g: Graph) -> tuple[int, int]:
+    """(diameter_of(g), the number of `bfs_distances` calls it made through module)."""
+    runs = []
+    monkeypatch.setattr(module, "bfs_distances", lambda g, s: runs.append(s) or bfs_distances(g, s))
+    value = diameter_of(g)
+    monkeypatch.undo()
+    return value, len(runs)
+
+
+def test_diameter_searches_prisms_and_antiprisms_a_few_times(monkeypatch):
+    # Plain iFUB searches from about half the vertices of these graphs:
+    # 405 times on prism(400) and 204 times on antiprism(200).
+    cases = [(h, 201) for h in _with_relabellings(families.prism(400)[0])]
+    cases += [(h, 100) for h in _with_relabellings(families.antiprism(200)[0])]
+    cases += [(families.prism(3200)[0], 1601)]
+    for g, expected in cases:
+        value, runs = _bfs_runs(monkeypatch, graphs, diameter, g)
+        assert value == expected and runs <= 12, (g, runs)
+
+
+def test_diameter_searches_at_most_twice_more_than_plain_ifub(monkeypatch):
+    for g in _trees_with_chords(random.Random(1013), 1100):
+        value, runs = _bfs_runs(monkeypatch, graphs, diameter, g)
+        expected, plain_runs = _bfs_runs(monkeypatch, oracles, ifub_diameter, g)
+        assert value == expected and runs <= plain_runs + 2, (g, runs, plain_runs)
 
 
 def test_diameter():
