@@ -129,7 +129,7 @@ def cmd_transport(args) -> int:
 
 def cmd_verify(args) -> int:
     graph, rot = _load_graph(args)
-    checks = args.checks.split(",") if args.checks else None
+    checks = args.checks.split(",") if args.checks is not None else None
     unknown = [c for c in checks or () if c not in ALL_CHECKS]
     if unknown:
         raise _InputError(f"unknown check {unknown[0]!r}")

@@ -47,7 +47,6 @@ from .graphs import (
 )
 from .transport import (
     InternalConsistencyError,
-    TransportResult,
     _frac,
     lazy_measure,
     optimal_transport,
@@ -148,20 +147,14 @@ def kappa_lly(g: Graph, x: int, y: int) -> Fraction:
     return value
 
 
-def _lazy_transport(g: Graph, x: int, y: int, alpha, metric=None) -> TransportResult:
-    """Exact transport between the alpha-lazy walk measures at x and y.
-
-    `metric` goes to `optimal_transport`."""
-    return optimal_transport(g, lazy_measure(g, x, alpha), lazy_measure(g, y, alpha), metric)
-
-
 def kappa_alpha(g: Graph, x: int, y: int, alpha) -> Fraction:
     """Lazy-walk curvature 1 - W(m_x^a, m_y^a) / d(x, y)."""
     if x == y:
         raise ValueError("curvature requires two distinct vertices")
     alpha = _frac(alpha)
     d = 1 if g.has_edge(x, y) else g.distance_row(x, (y,))[0]
-    return 1 - _lazy_transport(g, x, y, alpha).distance / d
+    result = optimal_transport(g, lazy_measure(g, x, alpha), lazy_measure(g, y, alpha))
+    return 1 - result.distance / d
 
 
 def _require_edge(g: Graph, x: int, y: int) -> None:

@@ -9,7 +9,10 @@ programs, transport solves and their certificates on one graph share one
 local search per vertex. The flow is a primal-dual min-cost flow that starts
 from zero potentials and alternates blocking flows with potential raises
 across their cuts. The negated final potentials are an integer Kantorovich
-potential; a path decomposition of the flow is an optimal coupling.
+potential. The flow on the domain arcs certifies them in integers: it is
+feasible, and its cost equals their dual value (`_flow_violations`), so
+both are optimal. `optimal_transport` also builds the coupling, a path
+decomposition of the flow, and certifies it; `verify` reads the flow alone.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import lcm
-from operator import sub
+from operator import mul, sub
 from typing import Mapping, Sequence
 
 from .graphs import Graph
@@ -393,24 +396,25 @@ def _metric_network(arcs: tuple, supply: Sequence[int]) -> tuple[_MinCostFlow, i
 
 
 def _coupling(
-    net: _MinCostFlow, domain: Sequence[int], source: Mapping[int, int], target: Mapping[int, int]
+    flow: Mapping[tuple[int, int], int],
+    domain: Sequence[int],
+    source: Mapping[int, int],
+    target: Mapping[int, int],
 ) -> dict[tuple[int, int], int]:
-    """An optimal coupling of the scaled measures, from the flow `net` carries.
+    """An optimal coupling of the scaled measures, from the `flow` of `_flow_solve`.
 
     The common mass stays in place; the rest follows a path decomposition
-    of the flow on the domain arcs (the flow on an arc is the capacity of
-    its reverse). An arc that carries flow has reduced cost 0, so p rises
-    by its cost >= 1 along it: the flow has no cycle, and a path from u to
-    v costs p(v) - p(u) <= d(u, v); no path is shorter, so it costs d(u, v).
-    A path leaves each node by the lowest-numbered head still carrying
-    flow; `out[i]` maps those heads, in increasing order, to their flow.
+    of the flow on the domain arcs. An arc that carries flow has reduced
+    cost 0, so p rises by its cost >= 1 along it: the flow has no cycle,
+    and a path from u to v costs p(v) - p(u) <= d(u, v); no path is
+    shorter, so it costs d(u, v). A path leaves each node by the
+    lowest-numbered head still carrying flow; `out[i]` maps those heads, in
+    increasing order, to their flow.
     """
     n = len(domain)
     units = {(v, v): min(source[v], target[v]) for v in domain if v in source and v in target}
-    to, cap = net.to, net.cap
     out: list[dict[int, int]] = [{} for _ in range(n)]
-    for i, j, c in sorted((to[a + 1], to[a], cap[a + 1]) for a in range(0, len(to), 2)
-                          if cap[a + 1] and to[a] < n and to[a + 1] < n):
+    for (i, j), c in sorted(flow.items()):
         out[i][j] = c
     excess = [source.get(v, 0) - target.get(v, 0) for v in domain]
     for i in range(n):
@@ -431,15 +435,18 @@ def _coupling(
     return units
 
 
-def optimal_transport(g: Graph, m1: Measure, m2: Measure, metric=None) -> TransportResult:
-    """Exact Wasserstein distance, an optimal coupling, and an integer potential.
+def _flow_solve(g: Graph, m1: Measure, m2: Measure, metric=None) -> tuple[tuple, list]:
+    """The integer min-cost flow of m1 - m2, as a record, and the metric rows it was solved on.
 
-    The potential is 1-Lipschitz and normalized to 0 at the smallest vertex
-    of support(m1); all three are verified, with the zero duality gap,
-    before returning. The measures' integer masses are brought to the lcm of
-    their scales, where the solve and its certificate stay. `metric(domain)`,
-    for a sorted domain tuple, is `_domain_metric` on g or a memo of it as
-    `run_checks` keeps."""
+    The record is (scale, domain, supply, flow, f, total), all integers.
+    scale is the lcm of the measures' scales and domain the sorted union of
+    their supports; supply[i] is m1 - m2 at domain[i] times scale. flow
+    maps each domain arc i -> j that carries flow, by position and in
+    increasing order, to its units, read off the residual capacities. f is
+    the potential by vertex, 0 at the smallest vertex of support(m1), and
+    total the flow's cost. Nothing here is certified (`_flow_violations`
+    does that). `metric(domain)`, for a sorted domain tuple, is
+    `_domain_metric` on g or a memo of it as `run_checks` keeps."""
     domain = tuple(sorted(set(m1.support()) | set(m2.support())))
     foreign = [v for v in domain if v not in g]
     if foreign:
@@ -447,20 +454,79 @@ def optimal_transport(g: Graph, m1: Measure, m2: Measure, metric=None) -> Transp
     scale, source, target = _one_scale(m1._units, m2._units)
     n = len(domain)
     rows, arcs = (metric or partial(_domain_metric, g))(domain)
-    net, amount = _metric_network(arcs, [source.get(v, 0) - target.get(v, 0) for v in domain])
+    supply = [source.get(v, 0) - target.get(v, 0) for v in domain]
+    net, amount = _metric_network(arcs, supply)
     p = [0] * (n + 2)  # every arc cost is >= 0
     total = net.solve(n, n + 1, amount, p)
-    anchor = min(m1.support())
-    base = p[domain.index(anchor)]
+    base = p[domain.index(min(m1.support()))]
     f = {v: base - p[i] for i, v in enumerate(domain)}
-    units = _coupling(net, domain, source, target)
+    # The flow on arc i -> j is the capacity of its reverse; s = n and t = n + 1.
+    to, cap = net.to, net.cap
+    flow = {(i, j): c for j, i, c in zip(to[::2], to[1::2], cap[1::2]) if c and i < n and j < n}
+    return (scale, domain, supply, flow, f, total), rows
+
+
+def _flow_violations(record: tuple, rows: Sequence[Sequence[int]]) -> list[str]:
+    """Every way a `_flow_solve` record fails to certify itself under the metric `rows`.
+
+    The flow must be nonnegative and conserve the supplies: at each
+    position, the flow out minus the flow in is its supply. f must be an
+    integer 1-Lipschitz potential on the domain (`_potential_violations`).
+    The flow's cost, sum flow * d, f's dual value, sum f * supply, and the
+    total must be one number. A feasible flow and a 1-Lipschitz f of equal
+    value are both optimal (Kantorovich-Rubinstein duality), so then W =
+    total / scale exactly. Values enter a Fraction only in a message.
+    """
+    scale, domain, supply, flow, f, total = record
+    problems = [f"negative flow on arc ({domain[i]}, {domain[j]})"
+                for (i, j), c in flow.items() if c < 0]
+    excess = list(supply)
+    for (i, j), c in flow.items():
+        excess[i] -= c
+        excess[j] += c
+    if any(excess):
+        v = next(v for v, e in zip(domain, excess) if e)
+        problems.append(f"flow does not conserve the supply at vertex {v}")
+    problems += _potential_violations(f, domain, rows)
+    cost = sum(c * rows[i][j] for (i, j), c in flow.items())
+    dual = sum(map(mul, map(f.__getitem__, domain), supply))
+    if cost != dual:
+        problems.append(f"duality gap: flow cost {Fraction(cost, scale)} "
+                        f"!= dual value {Fraction(dual, scale)}")
+    if dual != total:
+        problems.append(f"W = {Fraction(total, scale)} is not f's dual value")
+    return problems
+
+
+def _lazy_flow(g: Graph, x: int, y: int, alpha, metric=None) -> tuple:
+    """The `_flow_solve` record between the alpha-lazy walk measures at x and y, certified.
+
+    A record that `_flow_violations` rejects raises InternalConsistencyError."""
+    record, rows = _flow_solve(g, lazy_measure(g, x, alpha), lazy_measure(g, y, alpha), metric)
+    problems = _flow_violations(record, rows)
+    if problems:
+        raise InternalConsistencyError("; ".join(problems))
+    return record
+
+
+def optimal_transport(g: Graph, m1: Measure, m2: Measure, metric=None) -> TransportResult:
+    """Exact Wasserstein distance, an optimal coupling, and an integer potential.
+
+    The potential is 1-Lipschitz and normalized to 0 at the smallest vertex
+    of support(m1); all three are verified, with the zero duality gap,
+    before returning. The measures' integer masses are brought to the lcm of
+    their scales, where the solve (`_flow_solve`) and the coupling's
+    certificate stay. `metric` is as `_flow_solve` takes it."""
+    (scale, domain, _, flow, f, total), rows = _flow_solve(g, m1, m2, metric)
+    _, source, target = _one_scale(m1._units, m2._units)
+    units = _coupling(flow, domain, source, target)
     # Certify the solve at its scale against `rows`, the metric its network
     # was built on, before any mass becomes a Fraction.
     violations = _duality_violations(units, source, target, f, domain, rows, scale, total)
     if violations:
         raise InternalConsistencyError("; ".join(violations))
     plan = TransportPlan({key: Fraction(c, scale) for key, c in units.items()}, m1, m2)
-    return TransportResult(Fraction(total, scale), plan, DualPotential(f, anchor))
+    return TransportResult(Fraction(total, scale), plan, DualPotential(f, min(m1.support())))
 
 
 def idleness_lines(g: Graph, x: int, y: int, transport, metric=None) -> list[tuple]:
@@ -474,32 +540,35 @@ def idleness_lines(g: Graph, x: int, y: int, transport, metric=None) -> list[tup
     search (Eisner and Severance, 1976) finds them from solves at 0 and 1/2
     and W(1) = 1: the dual lines of solved points a < b cross at c; if W(c)
     lies on both, W is a's line on [a, c] and b's on [c, b]; else a solve at c
-    splits [a, b]. `transport(x, y, alpha)` gives a TransportResult; `metric`
-    goes to `verify_duality`.
+    splits [a, b]. `transport(x, y, alpha)` gives a `_flow_solve` record on
+    the edge's domain, N(x) | N(y); `metric` gives that domain's rows.
 
     Returns (a, b, c0, slope) for each piece in order: W = c0 + alpha * slope
     on [a, b]. Each piece is certified at its two ends, each end with its
-    solve's own plan (at alpha = 1 the unit step x -> y): `verify_duality`
-    checks the piece's potential f against the end's plan, and the end's W
-    must lie on f's line. That is exact: the measures, f's dual value and the
-    plan interpolated between the ends, with its cost, are affine in alpha,
-    so if the plans and f certify each other at a and at b, the interpolated
-    plan and f do so at every alpha in [a, b], and W is f's line there.
+    solve's own flow (at alpha = 1 the unit flow x -> y):
+    `_flow_violations` checks the piece's potential f against the end's
+    flow, supplies and W, and the end's W must lie on f's line. That is
+    exact: the supplies, f's dual value and the flow interpolated between
+    the ends, with its cost, are affine in alpha, so if the flows and f
+    certify each other at a and at b, the interpolated flow and f do so at
+    every alpha in [a, b], and W is f's line there.
     """
     domain = tuple(sorted({x, y, *g.neighbors(x), *g.neighbors(y)}))
+    rows = (metric or partial(_domain_metric, g))(domain)[0]
 
-    def point(alpha, w, plan, f):  # f's dual line is c0 + alpha * slope: (c0, slope)
+    def point(alpha, record):  # f's dual line is c0 + alpha * slope: (c0, slope)
+        scale, *_, f, total = record
         c0 = (Fraction(sum(f[v] for v in g.neighbors(x)), g.degree(x))
               - Fraction(sum(f[v] for v in g.neighbors(y)), g.degree(y)))
-        return (alpha, w, plan), f, (c0, f[x] - f[y] - c0)
+        return (alpha, Fraction(total, scale), record), f, (c0, f[x] - f[y] - c0)
 
     def solve(alpha):
-        result = transport(x, y, alpha)
-        return point(alpha, result.distance, result.plan, result.potential)
+        return point(alpha, transport(x, y, alpha))
 
     half = solve(Fraction(1, 2))
-    step = TransportPlan({(x, y): 1}, Measure({x: 1}), Measure({y: 1}))
-    one = point(1, 1, step, DualPotential(dict(zip(domain, g.distance_row(y, domain))), y))
+    iy = domain.index(y)
+    step = [(v == x) - (v == y) for v in domain]
+    one = point(1, (1, domain, step, {(domain.index(x), iy): 1}, dict(zip(domain, rows[iy])), 1))
     stack, found = [(half, one), (solve(Fraction(0)), half)], []
     while stack:
         lo, hi = stack.pop()
@@ -521,8 +590,8 @@ def idleness_lines(g: Graph, x: int, y: int, transport, metric=None) -> list[tup
             a = pieces.pop()[0]
         pieces.append((a, b, f, line))
     for *ends, f, (c0, slope) in pieces:
-        for end, w, plan in ends:
-            problems = [*verify_duality(plan, f, g, metric).violations]
+        for end, w, record in ends:
+            problems = _flow_violations((*record[:4], f, record[5]), rows)
             if w != c0 + end * slope:
                 problems.append(f"W = {w} is off the dual line")
             if problems:

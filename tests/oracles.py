@@ -305,6 +305,45 @@ def oracle_duality_violations(plan, potential, dist, distance=None) -> list[str]
     return problems
 
 
+def oracle_flow_violations(record, dist) -> list[str]:
+    """The flow certificate in `Fraction` arithmetic and vertices, message for message.
+
+    The reference for `transport._flow_violations`, which runs the same
+    tests on integers by domain position. `record` is (scale, domain,
+    supply, flow, f, total): supply[i] is the mass of m1 - m2 at domain[i]
+    times scale, flow maps position pairs (i, j) to units of mass times
+    scale, f maps vertices to values and total is W times scale. `dist`
+    holds d(u, v) for every pair of the domain.
+    """
+    scale, domain, supply, flow, f, total = record
+    moved = {(domain[i], domain[j]): Fraction(c, scale) for (i, j), c in flow.items()}
+    problems = [f"negative flow on arc ({u}, {v})" for (u, v), mass in moved.items() if mass < 0]
+    net = {v: Fraction(c, scale) for v, c in zip(domain, supply)}  # m1 - m2, left to send
+    for (u, v), mass in moved.items():
+        net[u] -= mass
+        net[v] += mass
+    unsent = [v for v in domain if net[v]]
+    if unsent:
+        problems.append(f"flow does not conserve the supply at vertex {unsent[0]}")
+    odd = [v for v, fv in f.items() if not isinstance(fv, int)]
+    if odd:
+        problems.append(f"potential value at {odd[0]} is not an integer")
+    for u in domain:
+        lifted = [v for v in domain if f[v] - f[u] > dist[u, v]]
+        if lifted:
+            v = lifted[0]
+            problems.append(f"potential violates 1-Lipschitz on ({u}, {v}): "
+                            f"{f[v]} - {f[u]} > {dist[u, v]}")
+            break
+    primal = sum((mass * dist[u, v] for (u, v), mass in moved.items()), Fraction(0))
+    dual = sum((f[v] * Fraction(c, scale) for v, c in zip(domain, supply)), Fraction(0))
+    if primal != dual:
+        problems.append(f"duality gap: flow cost {primal} != dual value {dual}")
+    if dual != Fraction(total, scale):
+        problems.append(f"W = {Fraction(total, scale)} is not f's dual value")
+    return problems
+
+
 def oracle_objective(g: Graph, x: int, y: int) -> dict[int, Fraction]:
     """The curvature program's objective as `Fraction` coefficients per vertex.
 

@@ -12,10 +12,10 @@ from itertools import combinations
 
 import networkx as nx
 
-from riccikit.curvature import _lazy_transport, kappa_lly
+from riccikit.curvature import kappa_lly
 from riccikit.graphs import Graph
 from riccikit.structure import lemma4_sweep
-from riccikit.transport import idleness_lines
+from riccikit.transport import _lazy_flow, idleness_lines
 
 from oracles import oracle_kappa, relabeled
 
@@ -67,7 +67,7 @@ def test_idleness_lines_on_the_atlas():
     edges = 0
     for g in _atlas(PIECE_STRIDE):
         for x, y in g.edges():
-            lines = idleness_lines(g, x, y, partial(_lazy_transport, g))
+            lines = idleness_lines(g, x, y, partial(_lazy_flow, g))
             assert [a for a, *_ in lines] + [1] == [0] + [b for _, b, *_ in lines], (x, y)
             slopes = [slope for *_, slope in lines]
             assert slopes == sorted(set(slopes)), (x, y)

@@ -1,6 +1,7 @@
 """The benchmark's tracer wraps package functions by name; a rename in the
 package must fail here rather than break `bench/run.py --trace 1`."""
 
+from fractions import Fraction
 from pathlib import Path
 
 import riccikit.cli  # noqa: F401  (Tracer.install patches its json binding)
@@ -21,6 +22,7 @@ def test_tracer_installs_and_uninstalls_on_the_package(monkeypatch):
         tracer.install()
         curvature.curvature_report(g, rot=rot, mode="lly")
         checks.run_checks(g, rot=rot, seed=1)
+        curvature.kappa_alpha(g, 0, 1, Fraction(1, 2))  # verify solves no optimal_transport
     finally:
         tracer.uninstall()
     totals = tracer.totals()

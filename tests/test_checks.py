@@ -92,7 +92,7 @@ def test_verify_solves_each_transport_problem_once(tmp_path, capsys, monkeypatch
     g, rot = families.prism(3)
     path = tmp_path / "prism3.rot"
     path.write_text(to_rotation_text(rot))
-    calls = _count_calls(monkeypatch, riccikit.transport.optimal_transport)
+    calls = _count_calls(monkeypatch, riccikit.transport._flow_solve)
     assert main(["verify", "--input", str(path), "--seed", "5"]) == 0
     assert "PASS slope-monotonicity" in capsys.readouterr().out
     solved = [repr(c[1:]) for c in calls]  # the two measures of each solve
@@ -105,13 +105,13 @@ def test_line_checks_take_few_solves_per_sampled_edge(monkeypatch, check):
     # their lines from at most 5 solves per edge on average. Reading
     # kappa_alpha at every tenth took 11 solves per edge (132).
     g, rot = families.icosahedron()
-    calls = _count_calls(monkeypatch, riccikit.transport.optimal_transport)
+    calls = _count_calls(monkeypatch, riccikit.transport._flow_solve)
     assert run_checks(g, rot=rot, checks=[check], seed=1)[0].status == "pass"
     assert len(calls) <= 5 * 12
 
 
 def test_verify_builds_each_transport_metric_once(tmp_path, monkeypatch):
-    # The transport solves, the idleness pieces and the duality re-check of
+    # The transport solves, their certificates and the idleness pieces of
     # one verify all read one metric per domain. The report's own programs
     # build theirs in curvature, which is left unwrapped here.
     g, rot = families.prism(3)

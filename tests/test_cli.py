@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -10,9 +11,9 @@ import riccikit
 from riccikit import cli
 from riccikit.checks import ALL_CHECKS
 from riccikit.cli import main
-from riccikit import families
+from riccikit import families, transport
 from riccikit.graphs import to_edgelist_text, to_rotation_text
-from riccikit.transport import _MinCostFlow
+from riccikit.transport import InternalConsistencyError, _MinCostFlow
 
 from oracles import star_with_pendants, torus_k4
 
@@ -234,6 +235,52 @@ def test_transport_fault_through_shared_solves_exit3(tmp_path, capsys, monkeypat
         assert "Traceback" not in err
 
 
+def _doctored_flow(fault, record, rows):
+    """`record` with one unit of the flow on its first arc i -> j changed by `fault`."""
+    scale, domain, supply, flow, f, total = record
+    (i, j), c = next(iter(flow.items()))
+    if fault == "conservation":  # the unit ends at k instead of j
+        k = next(k for k in range(len(domain)) if k not in (i, j))
+        flow = {**flow, (i, j): c - 1, (i, k): flow.get((i, k), 0) + 1}
+    elif fault == "cost":  # the unit detours through k, one unit longer
+        k = next(k for k in range(len(domain)) if rows[i][k] + rows[k][j] == rows[i][j] + 1)
+        flow = {**flow, (i, j): c - 1, (i, k): flow.get((i, k), 0) + 1,
+                (k, j): flow.get((k, j), 0) + 1}
+    else:
+        flow = {**flow, (i, j): -c}
+    return scale, domain, supply, flow, f, total
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("conservation", "flow does not conserve the supply at vertex"),
+    ("cost", "duality gap: flow cost"),
+    ("negative", "negative flow on arc"),
+])
+def test_flow_fault_through_shared_solves_exit3(fault, message, tmp_path, capsys, monkeypatch):
+    # verify reads only records that their own flow certifies: a flow that
+    # breaks conservation, costs one unit more than f's dual value or has a
+    # negative entry must raise before any transport check reads it, so each
+    # of them exits 3 and none prints FAIL. On K4 every detour through a third
+    # vertex costs one unit more.
+    solve = transport._flow_solve
+
+    def doctored(*args):
+        record, rows = solve(*args)
+        return _doctored_flow(fault, record, rows), rows
+
+    monkeypatch.setattr(transport, "_flow_solve", doctored)
+    g, _ = families.complete(4)
+    with pytest.raises(InternalConsistencyError, match=message):
+        transport._lazy_flow(g, 0, 1, Fraction(1, 2))
+    path = tmp_path / "k4.edges"
+    path.write_text(to_edgelist_text(g))
+    for checks in ("duality", "integrality", "concavity", "slope-monotonicity"):
+        code, out, err = run_cli(capsys, "verify", "--input", str(path), "--checks", checks)
+        assert (code, out) == (3, "")
+        assert err.startswith("internal error: ") and err.count("\n") == 1
+        assert message in err
+
+
 def test_one_vertex_rotation_is_a_sphere(tmp_path, capsys):
     path = tmp_path / "k1.rot"
     path.write_text("0:\n")
@@ -416,6 +463,8 @@ def test_input_errors_exit2(tmp_path, capsys):
          "only meaningful in mode 'alpha'"),
         (["verify", "--input", str(path), "--checks", "duality,nonsense"],
          "unknown check 'nonsense'"),
+        (["verify", "--input", str(path), "--checks", ""], "unknown check ''"),
+        (["verify", "--input", str(path), "--checks", ","], "unknown check ''"),
         (["curvature", "--input", str(latin1), "--jobs", "1"], "cannot read"),
     ]
     for argv, message in cases:

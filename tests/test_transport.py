@@ -16,6 +16,8 @@ from riccikit.transport import (
     TransportPlan,
     _domain_metric,
     _duality_violations,
+    _flow_solve,
+    _flow_violations,
     _one_scale,
     _scaled,
     lazy_measure,
@@ -23,7 +25,12 @@ from riccikit.transport import (
     verify_duality,
 )
 
-from oracles import oracle_duality_violations, oracle_wasserstein, random_connected_graph
+from oracles import (
+    oracle_duality_violations,
+    oracle_flow_violations,
+    oracle_wasserstein,
+    random_connected_graph,
+)
 
 
 half = Fraction(1, 2)
@@ -637,6 +644,64 @@ def test_integer_certificate_matches_the_fraction_reference():
             outside += 1
         instances += 1
     assert corrupted == 30 * 9 and outside >= 10
+
+
+def _flow_corruptions(rng, record, rows):
+    """Seeded (record, rows) pairs that each break the flow certificate one way."""
+    scale, domain, supply, flow, f, total = record
+    (i, j), c = rng.choice(sorted(flow.items()))
+    k = rng.choice([k for k in range(len(domain)) if k not in (i, j)])
+    v = rng.choice([v for v, s in zip(domain, supply) if s])  # f(v) moves the dual value
+    around = {**flow, (i, k): flow.get((i, k), 0) + 1, (k, i): flow.get((k, i), 0) + 1}
+    more = list(supply)
+    more[i] += 1
+    lowered = [list(row) for row in rows]
+    lowered[i][j] -= 1
+    for bad in [
+        (scale, domain, supply, {**flow, (i, j): c - 1, (i, k): flow.get((i, k), 0) + 1}, f, total),
+        (scale, domain, supply, {**flow, (i, j): -c}, f, total),
+        (scale, domain, supply, around, f, total),  # conserves, but costs 2 d(i, k) more
+        (scale, domain, more, flow, f, total),
+        (scale, domain, supply, flow, {**f, v: f[v] + rng.choice((-1, 1))}, total),
+        (scale, domain, supply, flow, {**f, v: f[v] + half}, total),
+        (scale, domain, supply, flow, f, total + rng.choice((-1, 1))),
+    ]:
+        yield bad, rows
+    yield record, lowered
+
+
+def test_flow_certificate_matches_the_fraction_reference():
+    # Differential test: the integer flow certificate must return the very
+    # list the vertex-and-Fraction reference returns, on solver flows and on
+    # seeded corruptions of them, and the record's W must be the oracle's.
+    rng = random.Random(3131)
+    instances = corrupted = 0
+    while instances < 40:
+        g = random_connected_graph(rng, n_max=10)
+        if g.vertex_count < 3:
+            continue
+        if rng.random() < 0.5:
+            x, y = rng.sample(g.vertices, 2)
+            alpha = rng.choice((Fraction(0), Fraction(1, 3), half, Fraction(2, 7)))
+            m1, m2 = lazy_measure(g, x, alpha), lazy_measure(g, y, alpha)
+        else:
+            m1, m2 = (_tied_measure(rng, rng.sample(g.vertices, rng.randint(1, 3)))
+                      for _ in range(2))
+        record, rows = _flow_solve(g, m1, m2)
+        scale, domain, *_, total = record
+        assert Fraction(total, scale) == oracle_wasserstein(g, m1, m2)
+        assert _flow_violations(record, rows) == oracle_flow_violations(
+            record, pair_metric(g, domain)) == []
+        if len(domain) < 3 or not record[3]:
+            continue
+        for bad, bad_rows in _flow_corruptions(rng, record, rows):
+            dist = {(u, v): d for u, row in zip(domain, bad_rows) for v, d in zip(domain, row)}
+            reference = oracle_flow_violations(bad, dist)
+            assert reference, "each corruption breaks the certificate"
+            assert _flow_violations(bad, bad_rows) == reference
+            corrupted += 1
+        instances += 1
+    assert corrupted == 40 * 8
 
 
 @pytest.mark.parametrize("fault", ["swap targets", "drop a unit"])
