@@ -10,8 +10,9 @@ sample the same edges on small graphs, so one `run_checks` call solves each
 lazy-walk transport problem (x, y, alpha) at most once, and builds the
 metric of each transport domain once. Each solve is an integer record,
 certified once by its own arc flow (`transport._lazy_flow`) before any
-check reads it; no coupling is built. `duality` counts the certified
-pairs, and `integrality` reads their potentials. `concavity` and
+check reads it; no coupling is built. `duality` and `integrality` count
+the certified pairs; the certificate also tests that each potential is an
+integer, so neither check has a FAIL of its own. `concavity` and
 `slope-monotonicity` read each sampled edge's certified lines from
 `transport.idleness_lines`: W = c0 + alpha * slope on each of at most three
 pieces covering [0, 1], so both checks hold for every alpha, not at sample
@@ -81,29 +82,23 @@ def _check_positivity(g: Graph, report: CurvatureReport, **_) -> CheckResult:
     )
 
 
+def _solve_sample(g: Graph, rng: random.Random, transport) -> int:
+    """How many sampled (edge, alpha) were solved; a solve that does not certify itself raises."""
+    solves = [(x, y, alpha) for x, y in _sample_edges(g, rng) for alpha in _ALPHAS]
+    for key in solves:
+        transport(*key)
+    return len(solves)
+
+
 def _check_duality(g: Graph, rng: random.Random, transport, **_) -> CheckResult:
-    # A solve whose flow and potential do not certify each other raises.
-    count = 0
-    for x, y in _sample_edges(g, rng):
-        for alpha in _ALPHAS:
-            transport(x, y, alpha)
-            count += 1
+    count = _solve_sample(g, rng, transport)
     return CheckResult("duality", "pass", f"{count} primal/dual pairs agree exactly")
 
 
 def _check_integrality(g: Graph, rng: random.Random, transport, **_) -> CheckResult:
-    count = 0
-    for x, y in _sample_edges(g, rng):
-        for alpha in _ALPHAS:
-            *_, f, _ = transport(x, y, alpha)
-            bad = [v for v, fv in f.items() if not isinstance(fv, int)]
-            if bad:
-                return CheckResult(
-                    "integrality",
-                    "fail",
-                    f"edge ({x}, {y}), alpha {alpha}: non-integer potential at {bad[0]}",
-                )
-            count += 1
+    # The integer test lives in the certificate every solve passes: a potential
+    # value that is not an int fails `transport._potential_violations` and raises.
+    count = _solve_sample(g, rng, transport)
     return CheckResult("integrality", "pass", f"{count} potentials integer-valued")
 
 

@@ -22,8 +22,11 @@ starts from the potentials d(x, .) on S, which price every arc at >= 0, and
 its final potentials are an optimal integer f. The metric on S is held as
 rows by position in S, with the spanning arcs of `transport._domain_metric`:
 their shortest-path closure is d on S, so the optimum is unchanged.
-Lazy-walk transport solves the same network without the gradient arc, on
-the union of its two supports.
+`transport._transship` lays out, solves and reads the network from these
+arcs, the gradient arc and the start potentials. Lazy-walk transport
+solves the same network without the gradient arc, on the union of its two
+supports, and kappa_alpha reads W off its certified integer record
+(`transport._lazy_flow`).
 
 The independent lazy-walk slope engine, the enumeration oracle and the
 reference simplex in the test suite cross-check this.
@@ -45,13 +48,8 @@ from .graphs import (
     trace_faces,
     validate_embedding,
 )
-from .transport import (
-    InternalConsistencyError,
-    _frac,
-    lazy_measure,
-    optimal_transport,
-)
-from .transport import _domain_metric, _metric_network, _potential_violations
+from .transport import InternalConsistencyError, _frac
+from .transport import _domain_metric, _lazy_flow, _potential_violations, _transship
 
 
 class EmbeddingError(ValueError):
@@ -109,15 +107,14 @@ class LipschitzProgram:
         certifies f through `value` before returning; an infeasible f, or one
         that does not attain the flow's value, raises InternalConsistencyError.
         """
-        x, y, d_xy, domain = self.x, self.y, self.d_xy, self.domain
-        n, ix = len(domain), domain.index(x)
+        domain, d_xy = self.domain, self.d_xy
+        ix = domain.index(self.x)
         tails, heads, costs = self.arcs
-        net, amount = _metric_network(
-            (tails + [domain.index(y)], heads + [ix], costs + [-d_xy]), self.supply)
-        # By the triangle inequality these price every arc, y -> x included, at >= 0.
-        p = [*self.rows[ix], d_xy + 1, 0]
-        value = Fraction(-net.solve(n, n + 1, amount, p), self.scale * d_xy)
-        f = {u: p[i] - p[ix] for i, u in enumerate(domain)}
+        # By the triangle inequality d(x, .) prices every arc, y -> x included, at >= 0.
+        total, p, _ = _transship((tails + [domain.index(self.y)], heads + [ix], costs + [-d_xy]),
+                                 self.supply, self.rows[ix])
+        value = Fraction(-total, self.scale * d_xy)
+        f = {u: pu - p[ix] for u, pu in zip(domain, p)}
         attained = self.value(f)
         if attained != value:
             raise InternalConsistencyError(
@@ -148,13 +145,12 @@ def kappa_lly(g: Graph, x: int, y: int) -> Fraction:
 
 
 def kappa_alpha(g: Graph, x: int, y: int, alpha) -> Fraction:
-    """Lazy-walk curvature 1 - W(m_x^a, m_y^a) / d(x, y)."""
+    """Lazy-walk curvature 1 - W(m_x^a, m_y^a) / d(x, y), read off the certified `_lazy_flow`."""
     if x == y:
         raise ValueError("curvature requires two distinct vertices")
-    alpha = _frac(alpha)
     d = 1 if g.has_edge(x, y) else g.distance_row(x, (y,))[0]
-    result = optimal_transport(g, lazy_measure(g, x, alpha), lazy_measure(g, y, alpha))
-    return 1 - result.distance / d
+    scale, *_, total = _lazy_flow(g, x, y, alpha)
+    return 1 - Fraction(total, scale * d)
 
 
 def _require_edge(g: Graph, x: int, y: int) -> None:

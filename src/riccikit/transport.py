@@ -2,17 +2,18 @@
 
 All masses, costs and distances are exact rationals. By Kantorovich-
 Rubinstein duality W1(m1, m2) is the min-cost transshipment of m1 - m2
-over the graph metric on D = supp m1 union supp m2, scaled to integers. It
-is solved on `_metric_network` over `_domain_metric`, which the Lipschitz
-curvature program shares. Its rows come from the graph's search memo, so
-programs, transport solves and their certificates on one graph share one
-local search per vertex. The flow is a primal-dual min-cost flow that starts
-from zero potentials and alternates blocking flows with potential raises
-across their cuts. The negated final potentials are an integer Kantorovich
-potential. The flow on the domain arcs certifies them in integers: it is
-feasible, and its cost equals their dual value (`_flow_violations`), so
-both are optimal. `optimal_transport` also builds the coupling, a path
-decomposition of the flow, and certifies it; `verify` reads the flow alone.
+over the graph metric on D = supp m1 union supp m2, scaled to integers.
+`_transship`, which the curvature program shares, builds that network on
+the arcs of `_domain_metric`, solves it and reads its flow. The rows come
+from the graph's search memo, so programs, transport solves and their
+certificates on one graph share one local search per vertex. The flow is a
+primal-dual min-cost flow from zero potentials that alternates blocking
+flows with potential raises across their cuts. The negated final
+potentials are an integer Kantorovich potential, and the flow certifies
+them in integers (`_certified_flow`): it is feasible and its cost equals
+their dual value, so both are optimal. `optimal_transport` then builds the
+coupling, a path decomposition of the flow, and certifies it; `verify` and
+`kappa_alpha` read the certified record alone.
 """
 
 from __future__ import annotations
@@ -374,15 +375,18 @@ def _potential_violations(f: Mapping[int, int], domain: Sequence[int], rows) -> 
     return problems
 
 
-def _metric_network(arcs: tuple, supply: Sequence[int]) -> tuple[_MinCostFlow, int]:
-    """Transshipment network of integer `supply` over the `arcs` of `_domain_metric`.
+def _transship(arcs: tuple, supply: Sequence[int], start: Sequence[int]) -> tuple[int, list, dict]:
+    """Min-cost transshipment of integer `supply` over `arcs`, solved from potentials `start`.
 
-    Node i is the i-th domain vertex, of supply[i]; s = n feeds the positive
-    supplies and t = n + 1 drains the negative ones. Returns the network and
-    the amount to push s -> t. The arcs get capacity above that amount, so
-    they never saturate and the final potentials satisfy each of them. A
-    caller may append arcs of its own to `arcs`, such as the curvature
-    program's gradient arc y -> x; they come last, in the order given."""
+    Node i, of supply[i], is the i-th domain vertex; a source feeds the
+    positive supplies and a sink drains the negative ones. `arcs` are
+    `_domain_metric`'s (tails, heads, costs), plus any a caller appends,
+    such as the gradient arc y -> x; their capacity exceeds the amount, so
+    the final potentials satisfy each of them. `start` must price every arc
+    at reduced cost >= 0; the source starts at max(start), the sink at
+    min(start). Returns the cost, the final potentials by node, and the flow
+    by arc i -> j (the later of two parallel arcs), in arc order, read off
+    the reverse arcs' residual capacities."""
     n = len(supply)
     amount = sum(c for c in supply if c > 0)
     tails = [n if c > 0 else i for i, c in enumerate(supply) if c]
@@ -392,7 +396,11 @@ def _metric_network(arcs: tuple, supply: Sequence[int]) -> tuple[_MinCostFlow, i
     net = _MinCostFlow(n + 2)
     net.add_edges(tails + arc_tails, heads + arc_heads,
                   caps + [amount + 1] * len(arc_heads), [0] * len(caps) + arc_costs)
-    return net, amount
+    p = [*start, max(start), min(start)]
+    total = net.solve(n, n + 1, amount, p)
+    to, cap = net.to, net.cap
+    flow = {(i, j): c for j, i, c in zip(to[::2], to[1::2], cap[1::2]) if c and i < n and j < n}
+    return total, p[:n], flow
 
 
 def _coupling(
@@ -452,17 +460,11 @@ def _flow_solve(g: Graph, m1: Measure, m2: Measure, metric=None) -> tuple[tuple,
     if foreign:
         raise TransportError(f"a measure puts mass on vertex {foreign[0]} not in the graph")
     scale, source, target = _one_scale(m1._units, m2._units)
-    n = len(domain)
     rows, arcs = (metric or partial(_domain_metric, g))(domain)
     supply = [source.get(v, 0) - target.get(v, 0) for v in domain]
-    net, amount = _metric_network(arcs, supply)
-    p = [0] * (n + 2)  # every arc cost is >= 0
-    total = net.solve(n, n + 1, amount, p)
+    total, p, flow = _transship(arcs, supply, [0] * len(domain))  # every arc cost is >= 0
     base = p[domain.index(min(m1.support()))]
-    f = {v: base - p[i] for i, v in enumerate(domain)}
-    # The flow on arc i -> j is the capacity of its reverse; s = n and t = n + 1.
-    to, cap = net.to, net.cap
-    flow = {(i, j): c for j, i, c in zip(to[::2], to[1::2], cap[1::2]) if c and i < n and j < n}
+    f = {v: base - pv for v, pv in zip(domain, p)}
     return (scale, domain, supply, flow, f, total), rows
 
 
@@ -498,15 +500,18 @@ def _flow_violations(record: tuple, rows: Sequence[Sequence[int]]) -> list[str]:
     return problems
 
 
-def _lazy_flow(g: Graph, x: int, y: int, alpha, metric=None) -> tuple:
-    """The `_flow_solve` record between the alpha-lazy walk measures at x and y, certified.
-
-    A record that `_flow_violations` rejects raises InternalConsistencyError."""
-    record, rows = _flow_solve(g, lazy_measure(g, x, alpha), lazy_measure(g, y, alpha), metric)
+def _certified_flow(g: Graph, m1: Measure, m2: Measure, metric=None) -> tuple[tuple, list]:
+    """`_flow_solve`; a record that fails `_flow_violations` raises InternalConsistencyError."""
+    record, rows = _flow_solve(g, m1, m2, metric)
     problems = _flow_violations(record, rows)
     if problems:
         raise InternalConsistencyError("; ".join(problems))
-    return record
+    return record, rows
+
+
+def _lazy_flow(g: Graph, x: int, y: int, alpha, metric=None) -> tuple:
+    """The certified `_flow_solve` record between the alpha-lazy walk measures at x and y."""
+    return _certified_flow(g, lazy_measure(g, x, alpha), lazy_measure(g, y, alpha), metric)[0]
 
 
 def optimal_transport(g: Graph, m1: Measure, m2: Measure, metric=None) -> TransportResult:
@@ -515,9 +520,9 @@ def optimal_transport(g: Graph, m1: Measure, m2: Measure, metric=None) -> Transp
     The potential is 1-Lipschitz and normalized to 0 at the smallest vertex
     of support(m1); all three are verified, with the zero duality gap,
     before returning. The measures' integer masses are brought to the lcm of
-    their scales, where the solve (`_flow_solve`) and the coupling's
-    certificate stay. `metric` is as `_flow_solve` takes it."""
-    (scale, domain, _, flow, f, total), rows = _flow_solve(g, m1, m2, metric)
+    their scales, where the certified solve (`_certified_flow`) and the
+    coupling's certificate stay. `metric` is as `_flow_solve` takes it."""
+    (scale, domain, _, flow, f, total), rows = _certified_flow(g, m1, m2, metric)
     _, source, target = _one_scale(m1._units, m2._units)
     units = _coupling(flow, domain, source, target)
     # Certify the solve at its scale against `rows`, the metric its network

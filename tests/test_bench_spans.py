@@ -13,7 +13,7 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 def test_tracer_installs_and_uninstalls_on_the_package(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
     import spans
-    from riccikit import checks, curvature
+    from riccikit import checks, curvature, transport
 
     originals = (curvature.curvature_report, checks.run_checks)
     g, rot = families.prism(3)
@@ -22,7 +22,10 @@ def test_tracer_installs_and_uninstalls_on_the_package(monkeypatch):
         tracer.install()
         curvature.curvature_report(g, rot=rot, mode="lly")
         checks.run_checks(g, rot=rot, seed=1)
-        curvature.kappa_alpha(g, 0, 1, Fraction(1, 2))  # verify solves no optimal_transport
+        # Neither verify nor kappa_alpha builds a coupling, so call the one function that does.
+        half = Fraction(1, 2)
+        transport.optimal_transport(g, transport.lazy_measure(g, 0, half),
+                                    transport.lazy_measure(g, 1, half))
     finally:
         tracer.uninstall()
     totals = tracer.totals()

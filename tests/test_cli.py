@@ -236,7 +236,7 @@ def test_transport_fault_through_shared_solves_exit3(tmp_path, capsys, monkeypat
 
 
 def _doctored_flow(fault, record, rows):
-    """`record` with one unit of the flow on its first arc i -> j changed by `fault`."""
+    """`record` with its flow on its first arc i -> j, or its f at j, changed by `fault`."""
     scale, domain, supply, flow, f, total = record
     (i, j), c = next(iter(flow.items()))
     if fault == "conservation":  # the unit ends at k instead of j
@@ -246,6 +246,12 @@ def _doctored_flow(fault, record, rows):
         k = next(k for k in range(len(domain)) if rows[i][k] + rows[k][j] == rows[i][j] + 1)
         flow = {**flow, (i, j): c - 1, (i, k): flow.get((i, k), 0) + 1,
                 (k, j): flow.get((k, j), 0) + 1}
+    elif fault == "drop":  # one unit fewer on the arc
+        flow = {**flow, (i, j): c - 1}
+    elif fault == "reverse":  # the arc's flow runs j -> i
+        flow = {(j, i) if arc == (i, j) else arc: units for arc, units in flow.items()}
+    elif fault == "integer":  # f is off by one half at j
+        f = {**f, domain[j]: f[domain[j]] + Fraction(1, 2)}
     else:
         flow = {**flow, (i, j): -c}
     return scale, domain, supply, flow, f, total
@@ -255,13 +261,19 @@ def _doctored_flow(fault, record, rows):
     ("conservation", "flow does not conserve the supply at vertex"),
     ("cost", "duality gap: flow cost"),
     ("negative", "negative flow on arc"),
+    ("drop", "flow does not conserve the supply at vertex"),
+    ("reverse", "flow does not conserve the supply at vertex"),
+    ("integer", "is not an integer"),
 ])
 def test_flow_fault_through_shared_solves_exit3(fault, message, tmp_path, capsys, monkeypatch):
-    # verify reads only records that their own flow certifies: a flow that
-    # breaks conservation, costs one unit more than f's dual value or has a
-    # negative entry must raise before any transport check reads it, so each
-    # of them exits 3 and none prints FAIL. On K4 every detour through a third
-    # vertex costs one unit more.
+    # verify, lazy-walk curvature and the transport command read only records
+    # that their own flow certifies: a flow that breaks conservation, costs
+    # one unit more than f's dual value or has a negative entry, or an f that
+    # is not an integer, must raise before any transport check reads the
+    # record or any coupling is decomposed from it. So each command exits 3
+    # with one internal error, none prints FAIL (`integrality` has no FAIL
+    # of its own) and none stops with a traceback. On K4 every detour through
+    # a third vertex costs one unit more.
     solve = transport._flow_solve
 
     def doctored(*args):
@@ -274,9 +286,15 @@ def test_flow_fault_through_shared_solves_exit3(fault, message, tmp_path, capsys
         transport._lazy_flow(g, 0, 1, Fraction(1, 2))
     path = tmp_path / "k4.edges"
     path.write_text(to_edgelist_text(g))
-    for checks in ("duality", "integrality", "concavity", "slope-monotonicity"):
-        code, out, err = run_cli(capsys, "verify", "--input", str(path), "--checks", checks)
-        assert (code, out) == (3, "")
+    commands = [["verify", "--checks", checks]
+                for checks in ("duality", "integrality", "concavity", "slope-monotonicity")]
+    commands += [["transport", "0", "1", "--alpha", "1/2"],
+                 ["curvature", "--mode", "alpha", "--alpha", "1/3"],
+                 ["curvature", "--mode", "zero"],
+                 ["curvature", "--with-zero"]]
+    for command, *options in commands:
+        code, out, err = run_cli(capsys, command, "--input", str(path), *options)
+        assert (code, out) == (3, ""), command
         assert err.startswith("internal error: ") and err.count("\n") == 1
         assert message in err
 

@@ -295,16 +295,16 @@ def test_program_value_certifies_its_point(c6):
     ids=["c8", "wheel7", "q3", "k5", "random19", "random38"],
 )
 def test_spanning_arcs_close_to_the_metric(g, monkeypatch):
-    # The arcs are read back from the network `_metric_network` returns:
-    # arc a (even) runs from to[a ^ 1] to to[a] at cost[a].
+    # The arcs are read back from the (tails, heads, costs) passed to
+    # `_transship`, by position in the domain; the gradient arc comes last.
     networks = []
-    metric_network = curvature._metric_network
+    transship = curvature._transship
 
-    def record(*args):
-        networks.append(metric_network(*args))
-        return networks[-1]
+    def record(arcs, *args):
+        networks.append((arcs, *args))
+        return transship(arcs, *args)
 
-    monkeypatch.setattr(curvature, "_metric_network", record)
+    monkeypatch.setattr(curvature, "_transship", record)
     checked = set()
     for x, y in combinations(g.vertices, 2):
         prog = build_lipschitz_program(g, x, y)
@@ -313,8 +313,8 @@ def test_spanning_arcs_close_to_the_metric(g, monkeypatch):
         checked.add(prog.d_xy)
         networks.clear()
         prog.solve()
-        (net, _), = networks
-        added = [(net.to[a ^ 1], net.to[a], net.cost[a]) for a in range(0, len(net.to), 2)]
+        (passed, _, _), = networks
+        added = list(zip(*passed))
         n = len(prog.domain)
         closure = [[0 if i == j else float("inf") for j in range(n)] for i in range(n)]
         arcs = [(u, v, c) for u, v, c in added if u < n and v < n and c > 0]

@@ -330,16 +330,16 @@ def _tied_measure(rng, support):
 def test_transport_arcs_close_to_the_metric(monkeypatch):
     # Transport is a transshipment on D = supp m1 | supp m2 over the spanning
     # arcs of the metric network: their closure must be the graph metric on D.
-    # The arcs are read back from the network `_metric_network` returns:
-    # arc a (even) runs from to[a ^ 1] to to[a] at cost[a].
+    # The arcs are read back from the (tails, heads, costs) passed to
+    # `_transship`, by position in the domain.
     networks = []
-    metric_network = transport._metric_network
+    transship = transport._transship
 
-    def record(*args):
-        networks.append(metric_network(*args))
-        return networks[-1]
+    def record(arcs, *args):
+        networks.append((arcs, *args))
+        return transship(arcs, *args)
 
-    monkeypatch.setattr(transport, "_metric_network", record)
+    monkeypatch.setattr(transport, "_transship", record)
     rng = random.Random(4099)
     checked = 0
     for _ in range(25):
@@ -350,8 +350,8 @@ def test_transport_arcs_close_to_the_metric(monkeypatch):
         m1, m2 = (_tied_measure(rng, rng.sample(verts, rng.randint(1, min(4, len(verts))))) for _ in range(2))
         networks.clear()
         result = optimal_transport(g, m1, m2)
-        (net, _), = networks
-        added = [(net.to[a ^ 1], net.to[a], net.cost[a]) for a in range(0, len(net.to), 2)]
+        (passed, _, _), = networks
+        added = list(zip(*passed))
         domain = sorted(set(m1.support()) | set(m2.support()))
         dist = {u: bfs_distances(g, u) for u in domain}
         n = len(domain)
