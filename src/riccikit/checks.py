@@ -265,7 +265,7 @@ def run_checks(
     # solve per (x, y, alpha) and one list of idleness lines per edge.
     metric = cache(partial(_domain_metric, g))
     transport = cache(partial(_lazy_flow, g, metric=metric))
-    lines = cache(partial(idleness_lines, g, transport=transport, metric=metric))
+    lines = cache(partial(idleness_lines, g, transport=transport))
     results = []
     for name in ALL_CHECKS:
         if name not in selected:

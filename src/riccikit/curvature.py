@@ -149,7 +149,7 @@ def kappa_alpha(g: Graph, x: int, y: int, alpha) -> Fraction:
     if x == y:
         raise ValueError("curvature requires two distinct vertices")
     d = 1 if g.has_edge(x, y) else g.distance_row(x, (y,))[0]
-    scale, *_, total = _lazy_flow(g, x, y, alpha)
+    (scale, *_, total), _ = _lazy_flow(g, x, y, alpha)
     return 1 - Fraction(total, scale * d)
 
 

@@ -222,8 +222,9 @@ def degree_audit(g: Graph, report: CurvatureReport) -> DegreeAudit:
     """Check max degree <= 17 whenever the hypotheses hold.
 
     A violation would contradict the degree bound for positively curved
-    planar graphs, so instead of failing silently the full graph and
-    curvature table are emitted for human review.
+    planar graphs. `verify` prints only the note; the full graph and
+    curvature table go back to library callers in
+    `DegreeAudit.counterexample`.
     """
     reasons = []
     if report.mode != "lly":

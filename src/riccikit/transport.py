@@ -8,19 +8,20 @@ the arcs of `_domain_metric`, solves it and reads its flow. The rows come
 from the graph's search memo, so programs, transport solves and their
 certificates on one graph share one local search per vertex. The flow is a
 primal-dual min-cost flow from zero potentials that alternates blocking
-flows with potential raises across their cuts. The negated final
-potentials are an integer Kantorovich potential, and the flow certifies
-them in integers (`_certified_flow`): it is feasible and its cost equals
-their dual value, so both are optimal. `optimal_transport` then builds the
-coupling, a path decomposition of the flow, and certifies it; `verify` and
-`kappa_alpha` read the certified record alone.
+flows with potential raises across their cuts. `_min_cost_flow` alone lays
+out the residual arcs, and gives the flow back per input arc, in input
+order. The negated final potentials are an integer Kantorovich potential,
+and the flow certifies them in integers (`_certified_flow`): it is
+feasible and its cost equals their dual value, so both are optimal.
+`optimal_transport` then builds the coupling, a path decomposition of the
+flow, and certifies it; `verify` and `kappa_alpha` read the certified
+record alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from math import lcm
 from operator import mul, sub
 from typing import Mapping, Sequence
@@ -172,8 +173,16 @@ class TransportResult:
     potential: DualPotential
 
 
-class _MinCostFlow:
-    """Primal-dual min-cost flow over reduced costs (all integer).
+def _min_cost_flow(n: int, tails: Sequence[int], heads: Sequence[int], caps: Sequence[int],
+                   costs: Sequence[int], s: int, t: int, amount: int,
+                   potential: list[int]) -> tuple[int, list[int]]:
+    """Push `amount` units s -> t at minimum total cost over arcs tails[k] -> heads[k].
+
+    Primal-dual min-cost flow over reduced costs (all integer) on nodes 0 ..
+    n - 1. Arc k, of capacity caps[k] and cost costs[k], gets id 2k, and its
+    residual reverse 2k + 1 (no capacity, cost -costs[k]), so `a ^ 1` flips
+    an arc; each id joins the adjacency list of its tail in order. No other
+    code knows that layout.
 
     Its one graph search is a Dinic blocking flow over the admissible arcs,
     the residual arcs of reduced cost 0. While t is out of reach, every node
@@ -185,147 +194,122 @@ class _MinCostFlow:
     a push changes the total cost by its flow times that difference. The
     arc costs used here are small distances, so a solve needs few raises.
 
-    The caller supplies potentials that price every arc at a nonnegative
-    reduced cost. A raise keeps that, and each new residual arc reverses an
-    admissible one, so they end optimal.
+    `potential` must give every arc a nonnegative reduced cost, cost +
+    potential[u] - potential[v]. It is raised in place across each
+    blocking-flow cut; a raise keeps that, and each new residual arc
+    reverses an admissible one, so at the end every arc that carries flow
+    below its capacity also has reduced cost 0, and it holds optimal duals.
+    Returns the total cost and the flow on each input arc, in input order,
+    read off the reverse arcs' residual capacities.
     """
+    k = len(heads)
+    to, cap, cost = [0] * (2 * k), [0] * (2 * k), [0] * (2 * k)
+    to[::2], to[1::2] = heads, tails
+    cap[::2] = caps
+    cost[::2], cost[1::2] = costs, [-c for c in costs]
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for arc, u, v in zip(range(0, 2 * k, 2), tails, heads):
+        adj[u].append(arc)
+        adj[v].append(arc + 1)
+    # s is always reached, so each raise lifts potential[t] - potential[s]
+    # by >= 1. While flow remains, a residual s-t path of < n arcs exists;
+    # at reduced costs >= 0 its cost, at most (n - 1) max |cost|, bounds that.
+    bound = (n - 1) * max(cost, default=0) - (potential[t] - potential[s])
+    total = sent = raises = 0
+    while sent < amount:
+        delta, level = _admissible_flow(adj, to, cap, cost, s, t, potential, amount - sent)
+        sent += delta
+        total += delta * (potential[t] - potential[s])
+        if sent == amount:
+            break
+        _raise(adj, to, cap, cost, level, potential)
+        raises += 1
+        if raises > bound:
+            raise InternalConsistencyError(f"{raises} potential raises exceed the bound {bound}")
+    return total, cap[1::2]
 
-    def __init__(self, n: int):
-        self.n = n
-        self.adj: list[list[int]] = [[] for _ in range(n)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-        self.cost: list[int] = []
 
-    def add_edges(
-        self, tails: Sequence[int], heads: Sequence[int], caps: Sequence[int], costs: Sequence[int]
-    ) -> None:
-        """Add arcs tails[k] -> heads[k] of capacity caps[k] and cost costs[k].
+def _raise(adj, to, cap, cost, level: list[int], potential: list[int]) -> None:
+    """Lift every unreached node by the least reduced cost leaving the reached set."""
+    n = len(adj)
+    step = min((cost[arc] + potential[u] - potential[to[arc]]
+                for u in range(n) if level[u] >= 0
+                for arc in adj[u] if cap[arc] > 0 and level[to[arc]] < 0),
+               default=None)
+    if step is None:
+        raise InternalConsistencyError("transport network is infeasible")
+    if step <= 0:
+        raise InternalConsistencyError(f"an arc leaves the cut at reduced cost {step}")
+    for v in range(n):
+        if level[v] < 0:
+            potential[v] += step
 
-        Arc k gets the next even id a, and its residual reverse a + 1 (no
-        capacity, cost -costs[k]), so `a ^ 1` flips an arc; each id joins
-        the adjacency list of its tail in order.
-        """
-        first, k = len(self.to), len(heads)
-        to, cap, cost = [0] * (2 * k), [0] * (2 * k), [0] * (2 * k)
-        to[::2], to[1::2] = heads, tails
-        cap[::2] = caps
-        cost[::2], cost[1::2] = costs, [-c for c in costs]
-        self.to += to
-        self.cap += cap
-        self.cost += cost
-        adj = self.adj
-        for arc, u, v in zip(range(first, first + 2 * k, 2), tails, heads):
-            adj[u].append(arc)
-            adj[v].append(arc + 1)
 
-    def solve(self, s: int, t: int, amount: int, potential: list[int]) -> int:
-        """Push `amount` units s -> t at minimum total cost.
+def _admissible_flow(adj, to, cap, cost, s: int, t: int, potential: list[int],
+                     limit: int) -> tuple[int, list[int]]:
+    """Push up to `limit` units s -> t over admissible arcs of `_min_cost_flow`'s network.
 
-        `potential` must give every residual arc a nonnegative reduced
-        cost, cost + potential[u] - potential[v]. It is raised in place
-        across each blocking-flow cut; at the end every arc that carries
-        flow below its capacity also has reduced cost 0, so it holds
-        optimal duals.
-        """
-        # s is always reached, so each raise lifts potential[t] - potential[s]
-        # by >= 1. While flow remains, a residual s-t path of < n arcs exists;
-        # at reduced costs >= 0 its cost, at most (n - 1) max |cost|, bounds that.
-        bound = (self.n - 1) * max(self.cost, default=0) - (potential[t] - potential[s])
-        total = sent = raises = 0
-        while sent < amount:
-            delta, level = self._admissible_flow(s, t, potential, amount - sent)
-            sent += delta
-            total += delta * (potential[t] - potential[s])
-            if sent == amount:
+    `limit` must be positive. Returns the amount and the levels of the
+    last BFS: when t is out of reach, level[v] >= 0 exactly for the
+    nodes that admissible arcs reach from s.
+
+    Dinic's method: BFS levels over the admissible arcs, then a DFS that
+    follows only arcs one level up, with a current-arc pointer per node
+    so that a dead end is never searched twice. An arc that carries flow
+    and its reverse are both admissible, so zero-cost cycles exist; the
+    levels keep the DFS from re-entering a node on its current path.
+    Repeats until t is unreachable, so the flow on the admissible
+    subgraph is maximum (or `limit` is reached).
+    """
+    n = len(adj)
+    pushed = 0
+    while pushed < limit:
+        level = [-1] * n
+        level[s] = 0
+        queue = [s]
+        for u in queue:
+            if level[t] >= 0:
                 break
-            self._raise(level, potential)
-            raises += 1
-            if raises > bound:
-                raise InternalConsistencyError(f"{raises} potential raises exceed the bound {bound}")
-        return total
-
-    def _raise(self, level: list[int], potential: list[int]) -> None:
-        """Lift every unreached node by the least reduced cost leaving the reached set."""
-        adj, to, cap, cost = self.adj, self.to, self.cap, self.cost
-        step = min((cost[arc] + potential[u] - potential[to[arc]]
-                    for u in range(self.n) if level[u] >= 0
-                    for arc in adj[u] if cap[arc] > 0 and level[to[arc]] < 0),
-                   default=None)
-        if step is None:
-            raise InternalConsistencyError("transport network is infeasible")
-        if step <= 0:
-            raise InternalConsistencyError(f"an arc leaves the cut at reduced cost {step}")
-        for v in range(self.n):
-            if level[v] < 0:
-                potential[v] += step
-
-    def _admissible_flow(
-        self, s: int, t: int, potential: list[int], limit: int
-    ) -> tuple[int, list[int]]:
-        """Push up to `limit` units s -> t over admissible arcs.
-
-        `limit` must be positive. Returns the amount and the levels of the
-        last BFS: when t is out of reach, level[v] >= 0 exactly for the
-        nodes that admissible arcs reach from s.
-
-        Dinic's method: BFS levels over the admissible arcs, then a DFS that
-        follows only arcs one level up, with a current-arc pointer per node
-        so that a dead end is never searched twice. An arc that carries flow
-        and its reverse are both admissible, so zero-cost cycles exist; the
-        levels keep the DFS from re-entering a node on its current path.
-        Repeats until t is unreachable, so the flow on the admissible
-        subgraph is maximum (or `limit` is reached).
-        """
-        adj, to, cap, cost = self.adj, self.to, self.cap, self.cost
-        pushed = 0
+            pu, up = potential[u], level[u] + 1
+            for arc in adj[u]:
+                v = to[arc]
+                if level[v] < 0 and cap[arc] > 0 and cost[arc] + pu == potential[v]:
+                    level[v] = up
+                    queue.append(v)
+        if level[t] < 0:
+            break
+        current = [0] * n
+        path: list[int] = []
+        u = s
         while pushed < limit:
-            level = [-1] * self.n
-            level[s] = 0
-            queue = [s]
-            for u in queue:
-                if level[t] >= 0:
+            if u == t:
+                delta = min(limit - pushed, min(cap[arc] for arc in path))
+                for arc in path:
+                    cap[arc] -= delta
+                    cap[arc ^ 1] += delta
+                pushed += delta
+                path.clear()
+                u = s
+                continue
+            arcs = adj[u]
+            i = current[u]
+            pu, up = potential[u], level[u] + 1
+            while i < len(arcs):
+                arc = arcs[i]
+                v = to[arc]
+                if level[v] == up and cap[arc] > 0 and cost[arc] + pu == potential[v]:
                     break
-                pu, up = potential[u], level[u] + 1
-                for arc in adj[u]:
-                    v = to[arc]
-                    if level[v] < 0 and cap[arc] > 0 and cost[arc] + pu == potential[v]:
-                        level[v] = up
-                        queue.append(v)
-            if level[t] < 0:
+                i += 1
+            current[u] = i
+            if i < len(arcs):
+                path.append(arcs[i])
+                u = to[arcs[i]]
+            elif u == s:
                 break
-            current = [0] * self.n
-            path: list[int] = []
-            u = s
-            while pushed < limit:
-                if u == t:
-                    delta = min(limit - pushed, min(cap[arc] for arc in path))
-                    for arc in path:
-                        cap[arc] -= delta
-                        cap[arc ^ 1] += delta
-                    pushed += delta
-                    path.clear()
-                    u = s
-                    continue
-                arcs = adj[u]
-                i = current[u]
-                pu, up = potential[u], level[u] + 1
-                while i < len(arcs):
-                    arc = arcs[i]
-                    v = to[arc]
-                    if level[v] == up and cap[arc] > 0 and cost[arc] + pu == potential[v]:
-                        break
-                    i += 1
-                current[u] = i
-                if i < len(arcs):
-                    path.append(arcs[i])
-                    u = to[arcs[i]]
-                elif u == s:
-                    break
-                else:
-                    u = to[path.pop() ^ 1]
-                    current[u] += 1
-        return pushed, level
+            else:
+                u = to[path.pop() ^ 1]
+                current[u] += 1
+    return pushed, level
 
 
 def _domain_metric(g: Graph, domain: Sequence[int]) -> tuple[list[list[int]], tuple]:
@@ -384,22 +368,21 @@ def _transship(arcs: tuple, supply: Sequence[int], start: Sequence[int]) -> tupl
     such as the gradient arc y -> x; their capacity exceeds the amount, so
     the final potentials satisfy each of them. `start` must price every arc
     at reduced cost >= 0; the source starts at max(start), the sink at
-    min(start). Returns the cost, the final potentials by node, and the flow
-    by arc i -> j (the later of two parallel arcs), in arc order, read off
-    the reverse arcs' residual capacities."""
+    min(start). `_min_cost_flow` lays out and solves the network and gives
+    the flow back per input arc: the source and sink arcs first, then
+    `arcs`. Returns the cost, the final potentials by node, and the flow by
+    arc i -> j of `arcs` (the later of two parallel arcs), in arc order."""
     n = len(supply)
     amount = sum(c for c in supply if c > 0)
     tails = [n if c > 0 else i for i, c in enumerate(supply) if c]
     heads = [i if c > 0 else n + 1 for i, c in enumerate(supply) if c]
     caps = [abs(c) for c in supply if c]
     arc_tails, arc_heads, arc_costs = arcs
-    net = _MinCostFlow(n + 2)
-    net.add_edges(tails + arc_tails, heads + arc_heads,
-                  caps + [amount + 1] * len(arc_heads), [0] * len(caps) + arc_costs)
     p = [*start, max(start), min(start)]
-    total = net.solve(n, n + 1, amount, p)
-    to, cap = net.to, net.cap
-    flow = {(i, j): c for j, i, c in zip(to[::2], to[1::2], cap[1::2]) if c and i < n and j < n}
+    total, flows = _min_cost_flow(n + 2, tails + arc_tails, heads + arc_heads,
+                                  caps + [amount + 1] * len(arc_heads),
+                                  [0] * len(caps) + arc_costs, n, n + 1, amount, p)
+    flow = {(i, j): c for i, j, c in zip(arc_tails, arc_heads, flows[len(caps):]) if c}
     return total, p[:n], flow
 
 
@@ -450,7 +433,7 @@ def _flow_solve(g: Graph, m1: Measure, m2: Measure, metric=None) -> tuple[tuple,
     scale is the lcm of the measures' scales and domain the sorted union of
     their supports; supply[i] is m1 - m2 at domain[i] times scale. flow
     maps each domain arc i -> j that carries flow, by position and in
-    increasing order, to its units, read off the residual capacities. f is
+    increasing order, to its units, as `_transship` gives it. f is
     the potential by vertex, 0 at the smallest vertex of support(m1), and
     total the flow's cost. Nothing here is certified (`_flow_violations`
     does that). `metric(domain)`, for a sorted domain tuple, is
@@ -460,7 +443,7 @@ def _flow_solve(g: Graph, m1: Measure, m2: Measure, metric=None) -> tuple[tuple,
     if foreign:
         raise TransportError(f"a measure puts mass on vertex {foreign[0]} not in the graph")
     scale, source, target = _one_scale(m1._units, m2._units)
-    rows, arcs = (metric or partial(_domain_metric, g))(domain)
+    rows, arcs = metric(domain) if metric else _domain_metric(g, domain)
     supply = [source.get(v, 0) - target.get(v, 0) for v in domain]
     total, p, flow = _transship(arcs, supply, [0] * len(domain))  # every arc cost is >= 0
     base = p[domain.index(min(m1.support()))]
@@ -509,20 +492,20 @@ def _certified_flow(g: Graph, m1: Measure, m2: Measure, metric=None) -> tuple[tu
     return record, rows
 
 
-def _lazy_flow(g: Graph, x: int, y: int, alpha, metric=None) -> tuple:
-    """The certified `_flow_solve` record between the alpha-lazy walk measures at x and y."""
-    return _certified_flow(g, lazy_measure(g, x, alpha), lazy_measure(g, y, alpha), metric)[0]
+def _lazy_flow(g: Graph, x: int, y: int, alpha, metric=None) -> tuple[tuple, list]:
+    """`_certified_flow` between the alpha-lazy walk measures at x and y: (record, rows)."""
+    return _certified_flow(g, lazy_measure(g, x, alpha), lazy_measure(g, y, alpha), metric)
 
 
-def optimal_transport(g: Graph, m1: Measure, m2: Measure, metric=None) -> TransportResult:
+def optimal_transport(g: Graph, m1: Measure, m2: Measure) -> TransportResult:
     """Exact Wasserstein distance, an optimal coupling, and an integer potential.
 
     The potential is 1-Lipschitz and normalized to 0 at the smallest vertex
     of support(m1); all three are verified, with the zero duality gap,
     before returning. The measures' integer masses are brought to the lcm of
     their scales, where the certified solve (`_certified_flow`) and the
-    coupling's certificate stay. `metric` is as `_flow_solve` takes it."""
-    (scale, domain, _, flow, f, total), rows = _certified_flow(g, m1, m2, metric)
+    coupling's certificate stay."""
+    (scale, domain, _, flow, f, total), rows = _certified_flow(g, m1, m2)
     _, source, target = _one_scale(m1._units, m2._units)
     units = _coupling(flow, domain, source, target)
     # Certify the solve at its scale against `rows`, the metric its network
@@ -534,7 +517,7 @@ def optimal_transport(g: Graph, m1: Measure, m2: Measure, metric=None) -> Transp
     return TransportResult(Fraction(total, scale), plan, DualPotential(f, min(m1.support())))
 
 
-def idleness_lines(g: Graph, x: int, y: int, transport, metric=None) -> list[tuple]:
+def idleness_lines(g: Graph, x: int, y: int, transport) -> list[tuple]:
     """The linear pieces of alpha -> W(m_x^alpha, m_y^alpha) on an edge (x, y), certified.
 
     W is the maximum of the dual lines alpha -> sum f (m_x^alpha - m_y^alpha)
@@ -546,7 +529,9 @@ def idleness_lines(g: Graph, x: int, y: int, transport, metric=None) -> list[tup
     and W(1) = 1: the dual lines of solved points a < b cross at c; if W(c)
     lies on both, W is a's line on [a, c] and b's on [c, b]; else a solve at c
     splits [a, b]. `transport(x, y, alpha)` gives a `_flow_solve` record on
-    the edge's domain, N(x) | N(y); `metric` gives that domain's rows.
+    the edge's domain, N(x) | N(y), and the metric rows it was solved on, as
+    `_lazy_flow` does; the solve at 1/2 gives the domain and the rows that
+    certify every piece.
 
     Returns (a, b, c0, slope) for each piece in order: W = c0 + alpha * slope
     on [a, b]. Each piece is certified at its two ends, each end with its
@@ -558,9 +543,6 @@ def idleness_lines(g: Graph, x: int, y: int, transport, metric=None) -> list[tup
     certify each other at a and at b, the interpolated flow and f do so at
     every alpha in [a, b], and W is f's line there.
     """
-    domain = tuple(sorted({x, y, *g.neighbors(x), *g.neighbors(y)}))
-    rows = (metric or partial(_domain_metric, g))(domain)[0]
-
     def point(alpha, record):  # f's dual line is c0 + alpha * slope: (c0, slope)
         scale, *_, f, total = record
         c0 = (Fraction(sum(f[v] for v in g.neighbors(x)), g.degree(x))
@@ -568,9 +550,10 @@ def idleness_lines(g: Graph, x: int, y: int, transport, metric=None) -> list[tup
         return (alpha, Fraction(total, scale), record), f, (c0, f[x] - f[y] - c0)
 
     def solve(alpha):
-        return point(alpha, transport(x, y, alpha))
+        return point(alpha, transport(x, y, alpha)[0])
 
-    half = solve(Fraction(1, 2))
+    record, rows = transport(x, y, Fraction(1, 2))
+    domain, half = record[1], point(Fraction(1, 2), record)
     iy = domain.index(y)
     step = [(v == x) - (v == y) for v in domain]
     one = point(1, (1, domain, step, {(domain.index(x), iy): 1}, dict(zip(domain, rows[iy])), 1))
@@ -616,18 +599,15 @@ class DualityCheck:
         return self.ok
 
 
-def verify_duality(
-    plan: TransportPlan, potential: DualPotential, g: Graph, metric=None
-) -> DualityCheck:
+def verify_duality(plan: TransportPlan, potential: DualPotential, g: Graph) -> DualityCheck:
     """True iff plan and potential are feasible and their values agree exactly.
 
     The plan's entries are scaled to integers (`_scaled`) and brought to one
     scale with the measures' own units (`_one_scale`), then checked by the
     certificate that `optimal_transport` runs, against the metric rows on the
-    potential's and the plan's vertices (`metric` as `optimal_transport`
-    takes it). An entry
-    that is not a finite number is reported and left out of the scaled plan;
-    a vertex that is not in g is reported, and then nothing is measured.
+    potential's and the plan's vertices. An entry that is not a finite
+    number is reported and left out of the scaled plan; a vertex that is
+    not in g is reported, and then nothing is measured.
     """
     entries, problems = {}, []
     for (u, v), mass in plan.entries.items():
@@ -643,7 +623,7 @@ def verify_duality(
     if all(v in g for v in domain):
         scale, units, source, target = _one_scale(_scaled(entries), plan.source._units,
                                                   plan.target._units)
-        rows = (metric or partial(_domain_metric, g))(domain)[0]
+        rows = _domain_metric(g, domain)[0]
         problems += _duality_violations(units, source, target, potential.values, domain, rows,
                                         scale)
     return DualityCheck(not problems, tuple(problems))

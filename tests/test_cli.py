@@ -13,7 +13,7 @@ from riccikit.checks import ALL_CHECKS
 from riccikit.cli import main
 from riccikit import families, transport
 from riccikit.graphs import to_edgelist_text, to_rotation_text
-from riccikit.transport import InternalConsistencyError, _MinCostFlow
+from riccikit.transport import InternalConsistencyError
 
 from oracles import star_with_pendants, torus_k4
 
@@ -190,14 +190,15 @@ def test_missing_file_exit2(capsys):
 def test_internal_fault_exit3_without_traceback(tmp_path, capsys, monkeypatch):
     # Zero potentials break the curvature certificate, which must surface as
     # an internal error, not as a failed verification (1) or bad input (2).
-    solve = _MinCostFlow.solve
+    solve = transport._min_cost_flow
 
-    def solve_then_zero_potentials(self, s, t, amount, potential):
-        total = solve(self, s, t, amount, potential)
+    def solve_then_zero_potentials(*args):
+        *_, potential = args
+        solved = solve(*args)
         potential[:] = [0] * len(potential)
-        return total
+        return solved
 
-    monkeypatch.setattr(_MinCostFlow, "solve", solve_then_zero_potentials)
+    monkeypatch.setattr(transport, "_min_cost_flow", solve_then_zero_potentials)
     g, _ = families.cycle(6)
     path = tmp_path / "c6.edges"
     path.write_text(to_edgelist_text(g))
@@ -214,16 +215,17 @@ def test_transport_fault_through_shared_solves_exit3(tmp_path, capsys, monkeypat
     # Only transport solves start from zero potentials (the curvature program
     # starts from d(x, .)); zeroing their final potentials breaks the zero
     # duality gap, so each transport check, and the full run, must exit 3.
-    solve = _MinCostFlow.solve
+    solve = transport._min_cost_flow
 
-    def solve_then_zero_transport_potentials(self, s, t, amount, potential):
-        transport = not any(potential)
-        total = solve(self, s, t, amount, potential)
-        if transport:
+    def solve_then_zero_transport_potentials(*args):
+        *_, potential = args
+        zero_start = not any(potential)
+        solved = solve(*args)
+        if zero_start:
             potential[:] = [0] * len(potential)
-        return total
+        return solved
 
-    monkeypatch.setattr(_MinCostFlow, "solve", solve_then_zero_transport_potentials)
+    monkeypatch.setattr(transport, "_min_cost_flow", solve_then_zero_transport_potentials)
     g, _ = families.cycle(6)
     path = tmp_path / "c6.edges"
     path.write_text(to_edgelist_text(g))
@@ -423,6 +425,25 @@ def test_cli_import_loads_no_process_machinery():
     modules = ["riccikit"] + [f"riccikit.{name}" for name in (
         "checks", "cli", "curvature", "families", "graphs", "lp", "structure", "transport")]
     assert result.stdout == f"[]\n{modules}\n"
+
+
+def test_cli_import_stays_within_its_budget():
+    # Every fresh process compiles and runs the CLI's import, so it stays
+    # flat: no riccikit module beyond today's nine and no dataclass beyond
+    # today's 17 (ROADMAP, "`setup_s` and the import").
+    src = str(Path(riccikit.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = ("import dataclasses, sys, riccikit.cli; "
+             "names = [m for m in sys.modules if m.split('.')[0] == 'riccikit']; "
+             "print(sum(isinstance(v, type) and dataclasses.is_dataclass(v) and v.__module__ == m "
+             "for m in names for v in vars(sys.modules[m]).values()), *names)")
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, timeout=60, check=True)
+    dataclass_count, *loaded = result.stdout.split()
+    budget = {"riccikit"} | {f"riccikit.{name}" for name in (
+        "checks", "cli", "curvature", "families", "graphs", "lp", "structure", "transport")}
+    assert set(loaded) <= budget
+    assert int(dataclass_count) <= 17
 
 
 def test_parser_is_built_once_and_reused(tmp_path, capsys):

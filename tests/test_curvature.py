@@ -7,7 +7,7 @@ from math import lcm
 
 import pytest
 
-from riccikit import curvature, families, graphs
+from riccikit import curvature, families, graphs, transport
 from riccikit.curvature import (
     EmbeddingError,
     build_lipschitz_program,
@@ -30,7 +30,7 @@ from riccikit.graphs import (
     trace_faces,
     validate_embedding,
 )
-from riccikit.transport import InternalConsistencyError, _MinCostFlow
+from riccikit.transport import InternalConsistencyError
 
 from oracles import (
     oracle_full_program,
@@ -168,14 +168,15 @@ def test_lipschitz_program_certificate(family, x, y):
 
 
 def test_lipschitz_program_rejects_a_broken_certificate(c6, monkeypatch):
-    solve = _MinCostFlow.solve
+    solve = transport._min_cost_flow
 
-    def solve_then_zero_potentials(self, s, t, amount, potential):
-        total = solve(self, s, t, amount, potential)
+    def solve_then_zero_potentials(*args):
+        *_, potential = args
+        solved = solve(*args)
         potential[:] = [0] * len(potential)
-        return total
+        return solved
 
-    monkeypatch.setattr(_MinCostFlow, "solve", solve_then_zero_potentials)
+    monkeypatch.setattr(transport, "_min_cost_flow", solve_then_zero_potentials)
     with pytest.raises(InternalConsistencyError, match=r"f\(y\) - f\(x\)"):
         build_lipschitz_program(c6, 0, 1).solve()
 
@@ -337,13 +338,13 @@ def test_wheel_hub_rim_solve_needs_few_phases(monkeypatch):
     # Successive shortest paths ran 58 Dijkstras on this edge. Each raise
     # lifts p[t] - p[s] by >= 1, from -(d + 1) = -2 to at most 3.
     calls = []
-    admissible_flow = _MinCostFlow._admissible_flow
+    admissible_flow = transport._admissible_flow
 
-    def count(self, *args):
+    def count(*args):
         calls.append(1)
-        return admissible_flow(self, *args)
+        return admissible_flow(*args)
 
-    monkeypatch.setattr(_MinCostFlow, "_admissible_flow", count)
+    monkeypatch.setattr(transport, "_admissible_flow", count)
     g, _ = families.wheel(60)
     value, _ = build_lipschitz_program(g, 60, 0).solve()
     assert 1 <= len(calls) <= 6

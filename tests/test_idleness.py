@@ -68,10 +68,10 @@ def test_pieces_give_lazy_transport_on_the_sixtieths(name, g):
 
 def _doctored(at, doctor):
     """`_lazy_flow` with the certified record of the solve of (x, y, alpha) =
-    `at` passed through `doctor`."""
+    `at` passed through `doctor`; the metric rows stay the solve's own."""
     def solve(g, x, y, alpha, metric=None):
-        record = _lazy_flow(g, x, y, alpha, metric)
-        return doctor(record) if (x, y, alpha) == at else record
+        record, rows = _lazy_flow(g, x, y, alpha, metric)
+        return (doctor(record) if (x, y, alpha) == at else record), rows
     return solve
 
 

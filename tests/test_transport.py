@@ -12,12 +12,12 @@ from riccikit.transport import (
     InternalConsistencyError,
     Measure,
     TransportError,
-    _MinCostFlow,
     TransportPlan,
     _domain_metric,
     _duality_violations,
     _flow_solve,
     _flow_violations,
+    _min_cost_flow,
     _one_scale,
     _scaled,
     lazy_measure,
@@ -381,29 +381,33 @@ def test_transport_arcs_close_to_the_metric(monkeypatch):
 
 
 def test_flow_engine_keeps_optimal_potentials(monkeypatch):
-    # Callers hand `solve` potentials that price every residual arc at >= 0;
-    # it must keep that and end with complementary slackness: an arc that
-    # carries flow below its capacity has reduced cost 0 (a saturated one,
-    # such as a source or sink arc, may end below 0).
-    solve = _MinCostFlow.solve
+    # Callers hand `_min_cost_flow` potentials that price every arc at >= 0;
+    # it must keep that on every residual arc and end with complementary
+    # slackness: an arc that carries flow below its capacity has reduced
+    # cost 0 (a saturated one, such as a source or sink arc, may end below
+    # 0). The reduced costs are recomputed from the input arcs, the returned
+    # flows and the potentials: an arc is residual forward iff its flow is
+    # below its capacity, and residual in reverse iff its flow is positive.
+    solve = transport._min_cost_flow
     solves = []
 
-    def checked(self, s, t, amount, potential):
-        def reduced(a):
-            return self.cost[a] + potential[self.to[a ^ 1]] - potential[self.to[a]]
+    def checked(n, tails, heads, caps, costs, s, t, amount, potential):
+        def reduced(k):
+            return costs[k] + potential[tails[k]] - potential[heads[k]]
 
-        arcs = range(len(self.to))
-        assert all(reduced(a) >= 0 for a in arcs if self.cap[a] > 0)
-        total = solve(self, s, t, amount, potential)
-        assert all(reduced(a) >= 0 for a in arcs if self.cap[a] > 0)
-        carrying = [a for a in range(0, len(self.to), 2) if self.cap[a ^ 1] > 0]
-        for a in carrying:
-            assert reduced(a) == 0 if self.cap[a] > 0 else reduced(a) <= 0
-        assert total == sum(self.cap[a ^ 1] * self.cost[a] for a in carrying)
+        arcs = range(len(heads))
+        assert all(reduced(k) >= 0 for k in arcs if caps[k] > 0)
+        total, flows = solve(n, tails, heads, caps, costs, s, t, amount, potential)
+        assert all(reduced(k) >= 0 for k in arcs if flows[k] < caps[k])
+        assert all(reduced(k) <= 0 for k in arcs if flows[k] > 0)  # the reverse arcs
+        carrying = [k for k in arcs if flows[k] > 0]
+        for k in carrying:
+            assert reduced(k) == 0 if flows[k] < caps[k] else reduced(k) <= 0
+        assert total == sum(flows[k] * costs[k] for k in carrying)
         solves.append(amount)
-        return total
+        return total, flows
 
-    monkeypatch.setattr(_MinCostFlow, "solve", checked)
+    monkeypatch.setattr(transport, "_min_cost_flow", checked)
     rng = random.Random(6151)
     far = 0
     for _ in range(25):
@@ -426,33 +430,32 @@ def test_potentials_pricing_an_arc_below_zero_are_an_internal_fault(monkeypatch)
     # The raise across the cut needs every residual arc at reduced cost >= 0;
     # broken starting potentials must raise rather than loop.
     calls = []
-    admissible_flow = _MinCostFlow._admissible_flow
+    admissible_flow = transport._admissible_flow
 
-    def count(self, *args):
+    def count(*args):
         calls.append(1)
         assert len(calls) < 10, "solve kept looping"
-        return admissible_flow(self, *args)
+        return admissible_flow(*args)
 
-    monkeypatch.setattr(_MinCostFlow, "_admissible_flow", count)
-    net = _MinCostFlow(3)
-    net.add_edges([0, 1], [1, 2], [1, 1], [1, 1])  # 0 -> 1 -> 2, capacity 1, cost 1
+    monkeypatch.setattr(transport, "_admissible_flow", count)
     with pytest.raises(InternalConsistencyError, match="reduced cost -4"):
-        net.solve(0, 2, 1, [0, 5, 0])  # prices 0 -> 1 at 1 + 0 - 5
+        # 0 -> 1 -> 2, capacity 1, cost 1; [0, 5, 0] prices 0 -> 1 at 1 + 0 - 5
+        _min_cost_flow(3, [0, 1], [1, 2], [1, 1], [1, 1], 0, 2, 1, [0, 5, 0])
     assert len(calls) == 1
 
 
 def test_a_raise_loop_is_an_internal_fault(monkeypatch):
     # A faulty raise that lifts the reached side never makes an arc across
     # the cut admissible, so solve would loop; the raise bound stops it.
-    def lifts_reached_side(self, level, potential):
-        step = min(self.cost[arc] + potential[u] - potential[self.to[arc]]
-                   for u in range(self.n) if level[u] >= 0
-                   for arc in self.adj[u] if self.cap[arc] > 0 and level[self.to[arc]] < 0)
-        for v in range(self.n):
+    def lifts_reached_side(adj, to, cap, cost, level, potential):
+        step = min(cost[arc] + potential[u] - potential[to[arc]]
+                   for u in range(len(adj)) if level[u] >= 0
+                   for arc in adj[u] if cap[arc] > 0 and level[to[arc]] < 0)
+        for v in range(len(adj)):
             if level[v] >= 0:
                 potential[v] += step
 
-    monkeypatch.setattr(_MinCostFlow, "_raise", lifts_reached_side)
+    monkeypatch.setattr(transport, "_raise", lifts_reached_side)
     g, _ = families.cycle(6)
     with pytest.raises(InternalConsistencyError, match="potential raises exceed the bound"):
         build_lipschitz_program(g, 0, 1).solve()
@@ -466,14 +469,14 @@ def test_flow_engine_matches_networkx_with_a_negative_arc(monkeypatch):
     # potentials price at >= 0 like every other arc.
     nx = pytest.importorskip("networkx")
     calls = []
-    admissible_flow = _MinCostFlow._admissible_flow
+    admissible_flow = transport._admissible_flow
 
-    def count(self, *args):
+    def count(*args):
         calls.append(1)
         assert len(calls) < 200, "solve kept looping"
-        return admissible_flow(self, *args)
+        return admissible_flow(*args)
 
-    monkeypatch.setattr(_MinCostFlow, "_admissible_flow", count)
+    monkeypatch.setattr(transport, "_admissible_flow", count)
     rng = random.Random(2718)
     checked = 0
     while checked < 30:
@@ -485,7 +488,7 @@ def test_flow_engine_matches_networkx_with_a_negative_arc(monkeypatch):
         if not downhill:
             continue
         negative = rng.choice(downhill)
-        net = _MinCostFlow(n)
+        caps, costs = [], []
         oracle = nx.DiGraph()
         oracle.add_nodes_from(range(n))
         for u, v in pairs:
@@ -494,14 +497,24 @@ def test_flow_engine_matches_networkx_with_a_negative_arc(monkeypatch):
             else:
                 cost = max(p[v] - p[u], 0) + rng.randint(0, 3)
             cap = rng.randint(1, 4)
-            net.add_edges([u], [v], [cap], [cost])
+            caps.append(cap)
+            costs.append(cost)
             oracle.add_edge(u, v, capacity=cap, weight=cost)
         amount = nx.maximum_flow_value(oracle, s, t)
         if not amount:
             continue
         oracle.nodes[s]["demand"], oracle.nodes[t]["demand"] = -amount, amount
         calls.clear()
-        assert net.solve(s, t, amount, p) == nx.min_cost_flow_cost(oracle)
+        tails, heads = [u for u, _ in pairs], [v for _, v in pairs]
+        total, flows = _min_cost_flow(n, tails, heads, caps, costs, s, t, amount, p)
+        assert total == nx.min_cost_flow_cost(oracle)
+        # The flows lie in [0, cap], and `amount` leaves s and reaches t.
+        assert all(0 <= f <= cap for f, cap in zip(flows, caps))
+        net = [0] * n
+        for u, v, f in zip(tails, heads, flows):
+            net[u] += f
+            net[v] -= f
+        assert net[s] == -net[t] == amount
         checked += 1
 
 
@@ -803,24 +816,26 @@ def test_a_lowered_row_entry_leaves_the_shared_memo_exact(c6):
     assert _domain_metric(c6, domain)[0] == exact
 
 
-def test_a_lowered_row_entry_fails_the_certificate_on_a_warm_memo(c6):
+def test_a_lowered_row_entry_fails_the_certificate_on_a_warm_memo(c6, monkeypatch):
     # As the test below, on a graph whose memo earlier solves have filled:
     # the fault still raises, and the next solve is exact again.
     m1, m2 = Measure({0: half, 1: half}), Measure({3: half, 4: half})
     clean = optimal_transport(c6, m1, m2)
     (u, v), _ = next((k, m) for k, m in clean.plan.entries.items() if k[0] != k[1])
 
-    def lowered(domain):
-        rows, arcs = _domain_metric(c6, domain)
+    def lowered(g, domain):
+        rows, arcs = _domain_metric(g, domain)
         rows[domain.index(u)][domain.index(v)] -= 1
         return rows, arcs
 
-    with pytest.raises(InternalConsistencyError, match="duality gap"):
-        optimal_transport(c6, m1, m2, metric=lowered)
+    with monkeypatch.context() as patched:
+        patched.setattr(transport, "_domain_metric", lowered)
+        with pytest.raises(InternalConsistencyError, match="duality gap"):
+            optimal_transport(c6, m1, m2)
     assert optimal_transport(c6, m1, m2) == clean
 
 
-def test_a_lowered_row_entry_fails_the_transport_certificate():
+def test_a_lowered_row_entry_fails_the_transport_certificate(monkeypatch):
     # The network is built on the arcs; the certificate reads the rows. A
     # metric whose row entry on a moved pair is one too low must raise.
     g, _ = families.cycle(8)
@@ -828,13 +843,14 @@ def test_a_lowered_row_entry_fails_the_transport_certificate():
     plan = optimal_transport(g, m1, m2).plan
     (u, v), _ = next((k, m) for k, m in plan.entries.items() if k[0] != k[1])
 
-    def lowered(domain):
+    def lowered(g, domain):
         rows, arcs = _domain_metric(g, domain)
         rows[domain.index(u)][domain.index(v)] -= 1
         return rows, arcs
 
+    monkeypatch.setattr(transport, "_domain_metric", lowered)
     with pytest.raises(InternalConsistencyError, match="duality gap"):
-        optimal_transport(g, m1, m2, metric=lowered)
+        optimal_transport(g, m1, m2)
 
 
 def test_verify_duality_reports_vertices_off_the_graph(path3):
